@@ -23,7 +23,6 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr std::uint32_t kMagic = 0x334D4C4Bu;  // "KLM3"
-constexpr std::size_t kHeaderSizeV1 = 12;      // magic + version + count
 constexpr std::size_t kHeaderSizeV2 = 20;      // magic + version + payload_size + crc
 constexpr std::uint32_t kFlagOptimizer = 1u << 0;
 constexpr std::uint32_t kFlagTrainer = 1u << 1;
@@ -274,62 +273,54 @@ CheckpointInfo LoadCheckpoint(const std::string& path,
                               const std::vector<Parameter*>& params) {
   M3_FAULT_POINT("checkpoint/load");
   const std::string file = ReadWholeFile(path);
-  PayloadReader header(file.data(), std::min(file.size(), kHeaderSizeV2));
-  if (file.size() < kHeaderSizeV1) {
+  if (file.size() < kHeaderSizeV2) {
     throw CheckpointError(StatusCode::kDataLoss, "checkpoint: file too short: " + path);
   }
+  PayloadReader header(file.data(), kHeaderSizeV2);
   if (header.Pod<std::uint32_t>() != kMagic) {
     throw CheckpointError(StatusCode::kDataLoss, "checkpoint: bad magic in " + path);
   }
   const auto version = header.Pod<std::uint32_t>();
+  if (version != kCheckpointVersionLatest) {
+    throw CheckpointError(StatusCode::kInvalidArgument,
+                          "checkpoint: unsupported version " + std::to_string(version) +
+                              " in " + path);
+  }
+  const auto payload_size = header.Pod<std::uint64_t>();
+  const auto crc = header.Pod<std::uint32_t>();
+  if (payload_size != file.size() - kHeaderSizeV2) {
+    throw CheckpointError(StatusCode::kDataLoss, "checkpoint: truncated file " + path);
+  }
+  if (Crc32(file.data() + kHeaderSizeV2, payload_size) != crc) {
+    throw CheckpointError(StatusCode::kDataLoss, "checkpoint: CRC mismatch in " + path);
+  }
 
   CheckpointInfo info;
   info.version = version;
-  std::vector<NamedTensor> loaded;
-
-  if (version == 1) {
-    // v1: [magic|version|count|entries...], no checksum, params only.
-    PayloadReader r(file.data() + 8, file.size() - 8);
-    loaded = ParseParamSection(r);
-  } else if (version == 2) {
-    if (file.size() < kHeaderSizeV2) {
-      throw CheckpointError(StatusCode::kDataLoss, "checkpoint: truncated header in " + path);
+  PayloadReader r(file.data() + kHeaderSizeV2, payload_size);
+  const auto flags = r.Pod<std::uint32_t>();
+  std::vector<NamedTensor> loaded = ParseParamSection(r);
+  if (flags & kFlagOptimizer) {
+    info.extra.has_optimizer = true;
+    info.extra.adam_step = r.Pod<std::int64_t>();
+    for (NamedTensor& nt : loaded) {
+      nt.adam_m = r.TensorOf(nt.value.rows(), nt.value.cols(), "adam_m " + nt.name);
+      nt.adam_v = r.TensorOf(nt.value.rows(), nt.value.cols(), "adam_v " + nt.name);
     }
-    const auto payload_size = header.Pod<std::uint64_t>();
-    const auto crc = header.Pod<std::uint32_t>();
-    if (payload_size != file.size() - kHeaderSizeV2) {
-      throw CheckpointError(StatusCode::kDataLoss, "checkpoint: truncated file " + path);
-    }
-    if (Crc32(file.data() + kHeaderSizeV2, payload_size) != crc) {
-      throw CheckpointError(StatusCode::kDataLoss, "checkpoint: CRC mismatch in " + path);
-    }
-    PayloadReader r(file.data() + kHeaderSizeV2, payload_size);
-    const auto flags = r.Pod<std::uint32_t>();
-    loaded = ParseParamSection(r);
-    if (flags & kFlagOptimizer) {
-      info.extra.has_optimizer = true;
-      info.extra.adam_step = r.Pod<std::int64_t>();
-      for (NamedTensor& nt : loaded) {
-        nt.adam_m = r.TensorOf(nt.value.rows(), nt.value.cols(), "adam_m " + nt.name);
-        nt.adam_v = r.TensorOf(nt.value.rows(), nt.value.cols(), "adam_v " + nt.name);
-      }
-    }
-    if (flags & kFlagTrainer) {
-      info.extra.has_trainer = true;
-      info.extra.epochs_done = r.Pod<std::int32_t>();
-      info.extra.batch_offset = r.Pod<std::int64_t>();
-      info.extra.partial_epoch_loss = r.Pod<double>();
-      info.extra.partial_epoch_samples = r.Pod<std::uint64_t>();
-      info.extra.lr = r.Pod<float>();
-      info.extra.split_seed = r.Pod<std::uint64_t>();
-      info.extra.shuffle_rng.state = r.Pod<std::uint64_t>();
-      info.extra.shuffle_rng.inc = r.Pod<std::uint64_t>();
-      info.extra.shuffle_rng.seed = r.Pod<std::uint64_t>();
-      info.extra.shuffle_rng.cached_normal = r.Pod<double>();
-      info.extra.shuffle_rng.has_cached_normal = r.Pod<std::uint8_t>() != 0;
-    }
-  } else {
-    throw CheckpointError(StatusCode::kInvalidArgument, "checkpoint: unsupported version in " + path);
+  }
+  if (flags & kFlagTrainer) {
+    info.extra.has_trainer = true;
+    info.extra.epochs_done = r.Pod<std::int32_t>();
+    info.extra.batch_offset = r.Pod<std::int64_t>();
+    info.extra.partial_epoch_loss = r.Pod<double>();
+    info.extra.partial_epoch_samples = r.Pod<std::uint64_t>();
+    info.extra.lr = r.Pod<float>();
+    info.extra.split_seed = r.Pod<std::uint64_t>();
+    info.extra.shuffle_rng.state = r.Pod<std::uint64_t>();
+    info.extra.shuffle_rng.inc = r.Pod<std::uint64_t>();
+    info.extra.shuffle_rng.seed = r.Pod<std::uint64_t>();
+    info.extra.shuffle_rng.cached_normal = r.Pod<double>();
+    info.extra.shuffle_rng.has_cached_normal = r.Pod<std::uint8_t>() != 0;
   }
 
   // Validate everything against the destination parameters before applying

@@ -9,8 +9,8 @@
 // The CRC32 covers the entire payload, so truncation or bit corruption at
 // any offset is detected before any state is applied. Writes go to a
 // temporary file in the target directory followed by rename(), so a crash
-// mid-save never clobbers the previous good checkpoint. Version-1 files
-// (params only, no checksum) remain loadable.
+// mid-save never clobbers the previous good checkpoint. Any other version
+// is rejected with kInvalidArgument.
 //
 // All integers and floats are little-endian; tensors are row-major float32.
 #pragma once
@@ -65,7 +65,7 @@ struct CheckpointExtra {
 };
 
 /// What a load found and applied. `extra.has_*` report which sections were
-/// present; for v1 files both are false and Adam state is zeroed.
+/// present; a missing optimizer section leaves Adam state zeroed.
 struct CheckpointInfo {
   std::uint32_t version = 0;
   CheckpointExtra extra;

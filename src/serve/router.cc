@@ -505,11 +505,8 @@ QueryResponse Router::Query(const QueryRequest& req) {
           sub.query = req;
           if (has_deadline) sub.query.deadline_seconds = shard_budget;
           sub.slots = queue[d].slots;
-          // Encoded at the client's own wire version: a v3 client routed
-          // across a mixed v3/v4 fleet keeps working.
           results[d] = CallShard(*shards_[static_cast<std::size_t>(queue[d].shard)],
-                                 EncodeShardQueryRequest(sub, req.wire_version),
-                                 recv_timeout);
+                                 EncodeShardQueryRequest(sub), recv_timeout);
         });
       }
       for (auto& t : th) t.join();

@@ -29,6 +29,9 @@ constexpr std::uint64_t kMinShardHealthBytes = 8 + 2 + 7 * 8;
 
 class Writer {
  public:
+  // Every payload opens with the version tag.
+  Writer() { U32(kWireVersion); }
+
   void U8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
   void U32(std::uint32_t v) { Raw(&v, 4); }
   void U64(std::uint64_t v) { Raw(&v, 8); }
@@ -136,26 +139,15 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-// Reads the leading version tag, accepting any version this build can
-// decode. v4-only fields are gated on `*out >= 4` at each use site.
-Status ReadVersion(Reader& r, std::uint32_t* out) {
+// Reads the leading version tag; anything but kWireVersion is rejected.
+Status ReadVersion(Reader& r) {
   std::uint32_t v;
   M3_RETURN_IF_ERROR(r.U32(&v));
-  if (v < kMinWireVersion || v > kWireVersion) {
+  if (v != kWireVersion) {
     return Status::InvalidArgument("wire: protocol version " + std::to_string(v) +
-                                   " (this build speaks " + std::to_string(kMinWireVersion) +
-                                   ".." + std::to_string(kWireVersion) + ")");
+                                   " (this build speaks " + std::to_string(kWireVersion) + ")");
   }
-  *out = v;
   return Status::Ok();
-}
-
-// Encoders clamp the requested version into the supported band so a caller
-// echoing a sniffed version can never emit something undecodable.
-std::uint32_t ClampVersion(std::uint32_t v) {
-  if (v < kMinWireVersion) return kMinWireVersion;
-  if (v > kWireVersion) return kWireVersion;
-  return v;
 }
 
 void EncodeNetConfig(Writer& w, const NetConfig& cfg) {
@@ -300,7 +292,7 @@ Status DecodeStatus(Reader& r, Status* st) {
   return Status::Ok();
 }
 
-void EncodeDegradation(Writer& w, const DegradationReport& d, std::uint32_t v) {
+void EncodeDegradation(Writer& w, const DegradationReport& d) {
   w.I32(d.paths_ok);
   w.I32(d.paths_cached);
   w.I32(d.paths_retried);
@@ -312,13 +304,11 @@ void EncodeDegradation(Writer& w, const DegradationReport& d, std::uint32_t v) {
   w.I32(d.errors_validation);
   w.I64(d.clamped_values);
   w.Str(d.first_error);
-  if (v >= 4) {
-    w.I32(d.brownout_level);
-    w.I32(d.paths_brownout);
-  }
+  w.I32(d.brownout_level);
+  w.I32(d.paths_brownout);
 }
 
-Status DecodeDegradation(Reader& r, DegradationReport* d, std::uint32_t v) {
+Status DecodeDegradation(Reader& r, DegradationReport* d) {
   M3_RETURN_IF_ERROR(r.I32(&d->paths_ok));
   M3_RETURN_IF_ERROR(r.I32(&d->paths_cached));
   M3_RETURN_IF_ERROR(r.I32(&d->paths_retried));
@@ -332,14 +322,12 @@ Status DecodeDegradation(Reader& r, DegradationReport* d, std::uint32_t v) {
   M3_RETURN_IF_ERROR(r.I64(&clamped));
   d->clamped_values = clamped;
   M3_RETURN_IF_ERROR(r.Str(&d->first_error));
-  if (v >= 4) {
-    M3_RETURN_IF_ERROR(r.I32(&d->brownout_level));
-    M3_RETURN_IF_ERROR(r.I32(&d->paths_brownout));
-  }
+  M3_RETURN_IF_ERROR(r.I32(&d->brownout_level));
+  M3_RETURN_IF_ERROR(r.I32(&d->paths_brownout));
   return Status::Ok();
 }
 
-void EncodeStatsBody(Writer& w, const ServerStatsWire& s, std::uint32_t v) {
+void EncodeStatsBody(Writer& w, const ServerStatsWire& s) {
   w.U64(s.queries_received);
   w.U64(s.queries_ok);
   w.U64(s.queries_rejected);
@@ -380,31 +368,22 @@ void EncodeStatsBody(Writer& w, const ServerStatsWire& s, std::uint32_t v) {
     w.U64(sh.slots_fallback);
     w.U64(sh.slots_dropped);
   }
-  if (v >= 4) {
-    w.U64(s.queries_shed);
-    for (std::uint64_t c : s.shed_by_reason) w.U64(c);
-    w.U64(s.brownout_queries);
-    w.U32(s.brownout_level);
-    w.F64(s.in_flight_cost);
-    w.F64(s.cost_budget);
-    // Persistence tail (v4 additive): appended last so decoders written
-    // before it see a clean end-of-body, and this decoder length-gates it.
-    w.Bool(s.persist_enabled);
-    w.U64(s.persist_segments_loaded);
-    w.U64(s.persist_entries_loaded);
-    w.U64(s.persist_entries_flushed);
-    w.U64(s.persist_records_corrupt);
-    w.U64(s.persist_digest_dropped);
-    w.U64(s.persist_flush_backlog);
-  }
+  w.U64(s.queries_shed);
+  for (std::uint64_t c : s.shed_by_reason) w.U64(c);
+  w.U64(s.brownout_queries);
+  w.U32(s.brownout_level);
+  w.F64(s.in_flight_cost);
+  w.F64(s.cost_budget);
+  w.Bool(s.persist_enabled);
+  w.U64(s.persist_segments_loaded);
+  w.U64(s.persist_entries_loaded);
+  w.U64(s.persist_entries_flushed);
+  w.U64(s.persist_records_corrupt);
+  w.U64(s.persist_digest_dropped);
+  w.U64(s.persist_flush_backlog);
 }
 
-// Size of the v4 persistence tail: enabled bool + 6 u64 counters. The
-// stats body is always the last element of its payload, so remaining()
-// tells us whether the peer's build had it.
-constexpr std::size_t kPersistTailBytes = 1 + 6 * 8;
-
-Status DecodeStatsBody(Reader& r, ServerStatsWire* s, std::uint32_t v) {
+Status DecodeStatsBody(Reader& r, ServerStatsWire* s) {
   M3_RETURN_IF_ERROR(r.U64(&s->queries_received));
   M3_RETURN_IF_ERROR(r.U64(&s->queries_ok));
   M3_RETURN_IF_ERROR(r.U64(&s->queries_rejected));
@@ -451,39 +430,26 @@ Status DecodeStatsBody(Reader& r, ServerStatsWire* s, std::uint32_t v) {
     M3_RETURN_IF_ERROR(r.U64(&sh.slots_fallback));
     M3_RETURN_IF_ERROR(r.U64(&sh.slots_dropped));
   }
-  if (v >= 4) {
-    M3_RETURN_IF_ERROR(r.U64(&s->queries_shed));
-    for (std::uint64_t& c : s->shed_by_reason) M3_RETURN_IF_ERROR(r.U64(&c));
-    M3_RETURN_IF_ERROR(r.U64(&s->brownout_queries));
-    M3_RETURN_IF_ERROR(r.U32(&s->brownout_level));
-    M3_RETURN_IF_ERROR(r.F64(&s->in_flight_cost));
-    M3_RETURN_IF_ERROR(r.F64(&s->cost_budget));
-    if (r.remaining() >= kPersistTailBytes) {
-      M3_RETURN_IF_ERROR(r.Bool(&s->persist_enabled));
-      M3_RETURN_IF_ERROR(r.U64(&s->persist_segments_loaded));
-      M3_RETURN_IF_ERROR(r.U64(&s->persist_entries_loaded));
-      M3_RETURN_IF_ERROR(r.U64(&s->persist_entries_flushed));
-      M3_RETURN_IF_ERROR(r.U64(&s->persist_records_corrupt));
-      M3_RETURN_IF_ERROR(r.U64(&s->persist_digest_dropped));
-      M3_RETURN_IF_ERROR(r.U64(&s->persist_flush_backlog));
-    }
-  }
+  M3_RETURN_IF_ERROR(r.U64(&s->queries_shed));
+  for (std::uint64_t& c : s->shed_by_reason) M3_RETURN_IF_ERROR(r.U64(&c));
+  M3_RETURN_IF_ERROR(r.U64(&s->brownout_queries));
+  M3_RETURN_IF_ERROR(r.U32(&s->brownout_level));
+  M3_RETURN_IF_ERROR(r.F64(&s->in_flight_cost));
+  M3_RETURN_IF_ERROR(r.F64(&s->cost_budget));
+  M3_RETURN_IF_ERROR(r.Bool(&s->persist_enabled));
+  M3_RETURN_IF_ERROR(r.U64(&s->persist_segments_loaded));
+  M3_RETURN_IF_ERROR(r.U64(&s->persist_entries_loaded));
+  M3_RETURN_IF_ERROR(r.U64(&s->persist_entries_flushed));
+  M3_RETURN_IF_ERROR(r.U64(&s->persist_records_corrupt));
+  M3_RETURN_IF_ERROR(r.U64(&s->persist_digest_dropped));
+  M3_RETURN_IF_ERROR(r.U64(&s->persist_flush_backlog));
   return Status::Ok();
 }
 
 }  // namespace
 
-std::uint32_t PeekWireVersion(const std::string& payload) {
-  if (payload.size() < 4) return kMinWireVersion;
-  std::uint32_t v;
-  std::memcpy(&v, payload.data(), 4);
-  return (v >= kMinWireVersion && v <= kWireVersion) ? v : kMinWireVersion;
-}
-
-std::string EncodeQueryRequest(const QueryRequest& req, std::uint32_t version) {
-  const std::uint32_t v = ClampVersion(version);
+std::string EncodeQueryRequest(const QueryRequest& req) {
   Writer w;
-  w.U32(v);
   w.F64(req.oversub);
   EncodeTopo(w, req.topo);
   EncodeNetConfig(w, req.cfg);
@@ -494,10 +460,8 @@ std::string EncodeQueryRequest(const QueryRequest& req, std::uint32_t version) {
   w.F64(req.deadline_seconds);
   w.I32(req.max_attempts);
   w.Bool(req.no_cache);
-  if (v >= 4) {
-    w.U8(req.priority);
-    w.U8(req.brownout);
-  }
+  w.U8(req.priority);
+  w.U8(req.brownout);
   w.U64(req.flows.size());
   for (const WireFlow& f : req.flows) {
     w.I32(f.id);
@@ -513,7 +477,7 @@ std::string EncodeQueryRequest(const QueryRequest& req, std::uint32_t version) {
 StatusOr<QueryRequest> DecodeQueryRequest(const std::string& payload) {
   Reader r(payload);
   QueryRequest req;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &req.wire_version));
+  M3_RETURN_IF_ERROR(ReadVersion(r));
   M3_RETURN_IF_ERROR(r.F64(&req.oversub));
   M3_RETURN_IF_ERROR(DecodeTopo(r, &req.topo));
   M3_RETURN_IF_ERROR(DecodeNetConfig(r, &req.cfg));
@@ -524,17 +488,13 @@ StatusOr<QueryRequest> DecodeQueryRequest(const std::string& payload) {
   M3_RETURN_IF_ERROR(r.F64(&req.deadline_seconds));
   M3_RETURN_IF_ERROR(r.I32(&req.max_attempts));
   M3_RETURN_IF_ERROR(r.Bool(&req.no_cache));
-  if (req.wire_version >= 4) {
-    M3_RETURN_IF_ERROR(r.U8(&req.priority));
-    if (req.priority >= kNumPriorityClasses) {
-      return Status::InvalidArgument("wire: priority class " +
-                                     std::to_string(req.priority));
-    }
-    M3_RETURN_IF_ERROR(r.U8(&req.brownout));
-    if (req.brownout > 2) {
-      return Status::InvalidArgument("wire: brownout level " +
-                                     std::to_string(req.brownout));
-    }
+  M3_RETURN_IF_ERROR(r.U8(&req.priority));
+  if (req.priority >= kNumPriorityClasses) {
+    return Status::InvalidArgument("wire: priority class " + std::to_string(req.priority));
+  }
+  M3_RETURN_IF_ERROR(r.U8(&req.brownout));
+  if (req.brownout > 2) {
+    return Status::InvalidArgument("wire: brownout level " + std::to_string(req.brownout));
   }
   std::uint64_t n;
   M3_RETURN_IF_ERROR(r.U64(&n));
@@ -558,79 +518,68 @@ StatusOr<QueryRequest> DecodeQueryRequest(const std::string& payload) {
   return req;
 }
 
-std::string EncodeQueryResponse(const QueryResponse& resp, std::uint32_t version) {
-  const std::uint32_t v = ClampVersion(version);
+std::string EncodeQueryResponse(const QueryResponse& resp) {
   Writer w;
-  w.U32(v);
   EncodeStatus(w, resp.status);
   for (const auto& pct : resp.bucket_pct) w.VecF64(pct);
   for (double c : resp.total_counts) w.F64(c);
   w.VecF64(resp.combined_pct);
   w.F64(resp.wall_seconds);
-  EncodeDegradation(w, resp.degradation, v);
+  EncodeDegradation(w, resp.degradation);
   w.U64(resp.model_version);
   w.U32(resp.model_crc);
   w.Bool(resp.query_cache_hit);
-  if (v >= 4) w.U8(resp.shed_reason);
+  w.U8(resp.shed_reason);
   EncodeShardReports(w, resp.shards);
-  EncodeStatsBody(w, resp.stats, v);
+  EncodeStatsBody(w, resp.stats);
   return w.Take();
 }
 
 StatusOr<QueryResponse> DecodeQueryResponse(const std::string& payload) {
   Reader r(payload);
   QueryResponse resp;
-  std::uint32_t v;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &v));
+  M3_RETURN_IF_ERROR(ReadVersion(r));
   M3_RETURN_IF_ERROR(DecodeStatus(r, &resp.status));
   for (auto& pct : resp.bucket_pct) M3_RETURN_IF_ERROR(r.VecF64(&pct));
   for (double& c : resp.total_counts) M3_RETURN_IF_ERROR(r.F64(&c));
   M3_RETURN_IF_ERROR(r.VecF64(&resp.combined_pct));
   M3_RETURN_IF_ERROR(r.F64(&resp.wall_seconds));
-  M3_RETURN_IF_ERROR(DecodeDegradation(r, &resp.degradation, v));
+  M3_RETURN_IF_ERROR(DecodeDegradation(r, &resp.degradation));
   M3_RETURN_IF_ERROR(r.U64(&resp.model_version));
   M3_RETURN_IF_ERROR(r.U32(&resp.model_crc));
   M3_RETURN_IF_ERROR(r.Bool(&resp.query_cache_hit));
-  if (v >= 4) {
-    M3_RETURN_IF_ERROR(r.U8(&resp.shed_reason));
-    if (resp.shed_reason >= kNumShedReasons) {
-      return Status::InvalidArgument("wire: shed reason " +
-                                     std::to_string(resp.shed_reason));
-    }
+  M3_RETURN_IF_ERROR(r.U8(&resp.shed_reason));
+  if (resp.shed_reason >= kNumShedReasons) {
+    return Status::InvalidArgument("wire: shed reason " + std::to_string(resp.shed_reason));
   }
   M3_RETURN_IF_ERROR(DecodeShardReports(r, &resp.shards));
-  M3_RETURN_IF_ERROR(DecodeStatsBody(r, &resp.stats, v));
+  M3_RETURN_IF_ERROR(DecodeStatsBody(r, &resp.stats));
   M3_RETURN_IF_ERROR(r.ExpectEnd());
   return resp;
 }
 
-std::string EncodeStatsRequest(std::uint32_t version) {
+std::string EncodeStatsRequest() {
   Writer w;
-  w.U32(ClampVersion(version));
   return w.Take();
 }
 
-std::string EncodeStats(const ServerStatsWire& stats, std::uint32_t version) {
-  const std::uint32_t v = ClampVersion(version);
+std::string EncodeStats(const ServerStatsWire& stats) {
   Writer w;
-  w.U32(v);
-  EncodeStatsBody(w, stats, v);
+  EncodeStatsBody(w, stats);
   return w.Take();
 }
 
 StatusOr<ServerStatsWire> DecodeStats(const std::string& payload) {
   Reader r(payload);
   ServerStatsWire s;
-  std::uint32_t v;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &v));
-  M3_RETURN_IF_ERROR(DecodeStatsBody(r, &s, v));
+  M3_RETURN_IF_ERROR(ReadVersion(r));
+  M3_RETURN_IF_ERROR(DecodeStatsBody(r, &s));
   M3_RETURN_IF_ERROR(r.ExpectEnd());
   return s;
 }
 
-std::string EncodeReloadRequest(const ReloadRequest& req, std::uint32_t version) {
+std::string EncodeReloadRequest(const ReloadRequest& req) {
   Writer w;
-  w.U32(ClampVersion(version));
   w.Str(req.checkpoint_path);
   return w.Take();
 }
@@ -638,15 +587,14 @@ std::string EncodeReloadRequest(const ReloadRequest& req, std::uint32_t version)
 StatusOr<ReloadRequest> DecodeReloadRequest(const std::string& payload) {
   Reader r(payload);
   ReloadRequest req;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &req.wire_version));
+  M3_RETURN_IF_ERROR(ReadVersion(r));
   M3_RETURN_IF_ERROR(r.Str(&req.checkpoint_path));
   M3_RETURN_IF_ERROR(r.ExpectEnd());
   return req;
 }
 
-std::string EncodeReloadResponse(const ReloadResponse& resp, std::uint32_t version) {
+std::string EncodeReloadResponse(const ReloadResponse& resp) {
   Writer w;
-  w.U32(ClampVersion(version));
   EncodeStatus(w, resp.status);
   w.U64(resp.model_version);
   w.U32(resp.model_crc);
@@ -656,8 +604,7 @@ std::string EncodeReloadResponse(const ReloadResponse& resp, std::uint32_t versi
 StatusOr<ReloadResponse> DecodeReloadResponse(const std::string& payload) {
   Reader r(payload);
   ReloadResponse resp;
-  std::uint32_t v;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &v));
+  M3_RETURN_IF_ERROR(ReadVersion(r));
   M3_RETURN_IF_ERROR(DecodeStatus(r, &resp.status));
   M3_RETURN_IF_ERROR(r.U64(&resp.model_version));
   M3_RETURN_IF_ERROR(r.U32(&resp.model_crc));
@@ -665,23 +612,13 @@ StatusOr<ReloadResponse> DecodeReloadResponse(const std::string& payload) {
   return resp;
 }
 
-std::string EncodePingRequest(std::uint32_t version) {
+std::string EncodePingRequest() {
   Writer w;
-  w.U32(ClampVersion(version));
   return w.Take();
 }
 
-Status DecodePingRequest(const std::string& payload) {
-  Reader r(payload);
-  std::uint32_t v;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &v));
-  return r.ExpectEnd();
-}
-
-std::string EncodePingResponse(const PingResponse& resp, std::uint32_t version) {
-  const std::uint32_t v = ClampVersion(version);
+std::string EncodePingResponse(const PingResponse& resp) {
   Writer w;
-  w.U32(v);
   w.Bool(resp.ready);
   w.Bool(resp.worker_mode);
   w.U64(resp.model_version);
@@ -689,15 +626,14 @@ std::string EncodePingResponse(const PingResponse& resp, std::uint32_t version) 
   w.Bool(resp.router_mode);
   w.U32(resp.shards_healthy);
   w.U32(resp.shards_total);
-  if (v >= 4) w.U32(resp.model_crc);
+  w.U32(resp.model_crc);
   return w.Take();
 }
 
 StatusOr<PingResponse> DecodePingResponse(const std::string& payload) {
   Reader r(payload);
   PingResponse resp;
-  std::uint32_t v;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &v));
+  M3_RETURN_IF_ERROR(ReadVersion(r));
   M3_RETURN_IF_ERROR(r.Bool(&resp.ready));
   M3_RETURN_IF_ERROR(r.Bool(&resp.worker_mode));
   M3_RETURN_IF_ERROR(r.U64(&resp.model_version));
@@ -705,19 +641,16 @@ StatusOr<PingResponse> DecodePingResponse(const std::string& payload) {
   M3_RETURN_IF_ERROR(r.Bool(&resp.router_mode));
   M3_RETURN_IF_ERROR(r.U32(&resp.shards_healthy));
   M3_RETURN_IF_ERROR(r.U32(&resp.shards_total));
-  // model_crc is a v4 additive tail: absent from older v4 builds' payloads.
-  if (v >= 4 && r.remaining() >= 4) M3_RETURN_IF_ERROR(r.U32(&resp.model_crc));
+  M3_RETURN_IF_ERROR(r.U32(&resp.model_crc));
   M3_RETURN_IF_ERROR(r.ExpectEnd());
   return resp;
 }
 
-std::string EncodeShardQueryRequest(const ShardQueryRequest& req, std::uint32_t version) {
-  const std::uint32_t v = ClampVersion(version);
+std::string EncodeShardQueryRequest(const ShardQueryRequest& req) {
   Writer w;
-  w.U32(v);
   // The embedded query reuses its own codec (version tag and all) as a
   // length-prefixed blob, so the two stay in lockstep by construction.
-  w.Str(EncodeQueryRequest(req.query, v));
+  w.Str(EncodeQueryRequest(req.query));
   w.U64(req.slots.size());
   for (std::uint32_t s : req.slots) w.U32(s);
   return w.Take();
@@ -726,8 +659,7 @@ std::string EncodeShardQueryRequest(const ShardQueryRequest& req, std::uint32_t 
 StatusOr<ShardQueryRequest> DecodeShardQueryRequest(const std::string& payload) {
   Reader r(payload);
   ShardQueryRequest req;
-  std::uint32_t v;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &v));
+  M3_RETURN_IF_ERROR(ReadVersion(r));
   std::string query_blob;
   M3_RETURN_IF_ERROR(r.Str(&query_blob));
   StatusOr<QueryRequest> q = DecodeQueryRequest(query_blob);
@@ -745,13 +677,10 @@ StatusOr<ShardQueryRequest> DecodeShardQueryRequest(const std::string& payload) 
   return req;
 }
 
-std::string EncodeShardQueryResponse(const ShardQueryResponse& resp,
-                                     std::uint32_t version) {
-  const std::uint32_t v = ClampVersion(version);
+std::string EncodeShardQueryResponse(const ShardQueryResponse& resp) {
   Writer w;
-  w.U32(v);
   EncodeStatus(w, resp.status);
-  EncodeDegradation(w, resp.degradation, v);
+  EncodeDegradation(w, resp.degradation);
   w.U64(resp.model_version);
   w.U32(resp.model_crc);
   w.F64(resp.wall_seconds);
@@ -766,10 +695,9 @@ std::string EncodeShardQueryResponse(const ShardQueryResponse& resp,
 StatusOr<ShardQueryResponse> DecodeShardQueryResponse(const std::string& payload) {
   Reader r(payload);
   ShardQueryResponse resp;
-  std::uint32_t v;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &v));
+  M3_RETURN_IF_ERROR(ReadVersion(r));
   M3_RETURN_IF_ERROR(DecodeStatus(r, &resp.status));
-  M3_RETURN_IF_ERROR(DecodeDegradation(r, &resp.degradation, v));
+  M3_RETURN_IF_ERROR(DecodeDegradation(r, &resp.degradation));
   M3_RETURN_IF_ERROR(r.U64(&resp.model_version));
   M3_RETURN_IF_ERROR(r.U32(&resp.model_crc));
   M3_RETURN_IF_ERROR(r.F64(&resp.wall_seconds));
@@ -790,26 +718,23 @@ StatusOr<ShardQueryResponse> DecodeShardQueryResponse(const std::string& payload
   return resp;
 }
 
-std::string EncodePathEstimateValue(const PathEstimate& pe, std::uint32_t version) {
+std::string EncodePathEstimateValue(const PathEstimate& pe) {
   Writer w;
-  w.U32(ClampVersion(version));
   EncodePathEstimate(w, pe);
   return w.Take();
 }
 
 StatusOr<PathEstimate> DecodePathEstimateValue(const std::string& payload) {
   Reader r(payload);
-  std::uint32_t v;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &v));
+  M3_RETURN_IF_ERROR(ReadVersion(r));
   PathEstimate pe{};
   M3_RETURN_IF_ERROR(DecodePathEstimate(r, &pe));
   M3_RETURN_IF_ERROR(r.ExpectEnd());
   return pe;
 }
 
-std::string EncodeRouterPathValue(const RouterPathValue& rv, std::uint32_t version) {
+std::string EncodeRouterPathValue(const RouterPathValue& rv) {
   Writer w;
-  w.U32(ClampVersion(version));
   w.U64(rv.model_version);
   w.U32(rv.model_crc);
   EncodePathEstimate(w, rv.estimate);
@@ -818,8 +743,7 @@ std::string EncodeRouterPathValue(const RouterPathValue& rv, std::uint32_t versi
 
 StatusOr<RouterPathValue> DecodeRouterPathValue(const std::string& payload) {
   Reader r(payload);
-  std::uint32_t v;
-  M3_RETURN_IF_ERROR(ReadVersion(r, &v));
+  M3_RETURN_IF_ERROR(ReadVersion(r));
   RouterPathValue rv;
   M3_RETURN_IF_ERROR(r.U64(&rv.model_version));
   M3_RETURN_IF_ERROR(r.U32(&rv.model_crc));

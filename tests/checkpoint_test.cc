@@ -149,34 +149,6 @@ TEST(CheckpointV2, ParamsOnlySaveResetsAdamState) {
   }
 }
 
-TEST(CheckpointV2, V1BackwardCompatLoad) {
-  const std::string path = ScratchDir("v1compat") + "/m.ckpt";
-  Rng rng(5);
-  const ml::Tensor vals = ml::Tensor::Randn(2, 3, rng, 1.0f);
-
-  // Hand-written v1 file: [magic|version=1|count|name_len|name|rows|cols|data].
-  std::string file;
-  Put<std::uint32_t>(file, 0x334D4C4Bu);
-  Put<std::uint32_t>(file, 1);
-  Put<std::uint32_t>(file, 1);
-  Put<std::uint32_t>(file, 1);
-  file += 'x';
-  Put<std::int32_t>(file, 2);
-  Put<std::int32_t>(file, 3);
-  file.append(reinterpret_cast<const char*>(vals.data()), vals.size() * sizeof(float));
-  WriteFileBytes(path, file);
-
-  ml::Parameter p = MakeParam("x", 2, 3, 33);
-  const ml::CheckpointInfo info = ml::LoadCheckpoint(path, {&p});
-  EXPECT_EQ(info.version, 1u);
-  EXPECT_FALSE(info.extra.has_optimizer);
-  EXPECT_FALSE(info.extra.has_trainer);
-  ExpectTensorsEq(p.value, vals, "value");
-  for (std::size_t i = 0; i < p.adam_m.size(); ++i) {
-    ASSERT_EQ(p.adam_m.vec()[i], 0.0f);  // v1 carries no optimizer state
-  }
-}
-
 TEST(CheckpointV2, TruncationAtEveryOffsetDetected) {
   const std::string dir = ScratchDir("truncate");
   const std::string path = dir + "/m.ckpt";
@@ -264,15 +236,24 @@ TEST(CheckpointV2, HostileLengthFieldsRejectedCleanly) {
     WriteFileBytes(dir + "/huge.ckpt", WrapV2(payload));
     EXPECT_THROW(ml::LoadCheckpoint(dir + "/huge.ckpt", {&p}), std::runtime_error);
   }
-  // v1 files get the same bounds validation (they have no CRC to catch it).
+  // Only the current version loads: a v1 header (no checksum) is refused
+  // before any of its lengths are read.
   {
     std::string file;
     Put<std::uint32_t>(file, 0x334D4C4Bu);
     Put<std::uint32_t>(file, 1);
     Put<std::uint32_t>(file, 1);
     Put<std::uint32_t>(file, 0xFFFFFFFFu);  // name_len
+    file.append(8, '\0');                   // past the v2 header size
     WriteFileBytes(dir + "/v1.ckpt", file);
-    EXPECT_THROW(ml::LoadCheckpoint(dir + "/v1.ckpt", {&p}), std::runtime_error);
+    try {
+      ml::LoadCheckpoint(dir + "/v1.ckpt", {&p});
+      ADD_FAILURE() << "a version-1 header loaded";
+    } catch (const ml::CheckpointError& e) {
+      EXPECT_EQ(e.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(std::string(e.what()).find("unsupported version"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

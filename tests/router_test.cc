@@ -1,5 +1,5 @@
 // Sharded-fleet tests: the consistent-hash ring and recoverable breaker
-// (serve/shardmap.h), the v3 shard wire messages under the usual hostile
+// (serve/shardmap.h), the shard wire messages under the usual hostile
 // treatment, shard-side slot execution determinism (serve/exec.h), and the
 // scatter-gather router end-to-end against a live in-process fleet —
 // including the acceptance property that a fault-free scattered answer is
@@ -178,7 +178,7 @@ TEST(ShardBreaker, SuccessClearsTheFailureWindow) {
   EXPECT_EQ(b.trips(), 0u);
 }
 
-// ----------------------------------------------------------- wire (v3) ----
+// ------------------------------------------------------------------ wire --
 
 QueryRequest SampleShardQuery() {
   QueryRequest req;
@@ -218,6 +218,8 @@ TEST(ShardWire, QueryRequestTopoRoundTripsAndChangesTheCacheKey) {
 TEST(ShardWire, ShardQueryRequestRoundTrip) {
   ShardQueryRequest req;
   req.query = SampleShardQuery();
+  req.query.priority = static_cast<std::uint8_t>(Priority::kInteractive);
+  req.query.deadline_seconds = 1.5;
   req.slots = {0, 3, 4};
   const StatusOr<ShardQueryRequest> got =
       DecodeShardQueryRequest(EncodeShardQueryRequest(req));
@@ -225,6 +227,8 @@ TEST(ShardWire, ShardQueryRequestRoundTrip) {
   EXPECT_EQ(got->slots, req.slots);
   EXPECT_EQ(got->query.num_paths, req.query.num_paths);
   EXPECT_EQ(got->query.seed, req.query.seed);
+  EXPECT_EQ(got->query.priority, static_cast<std::uint8_t>(Priority::kInteractive));
+  EXPECT_EQ(got->query.deadline_seconds, 1.5);
   EXPECT_TRUE(got->query.topo == req.query.topo);
   ASSERT_EQ(got->query.flows.size(), req.query.flows.size());
   EXPECT_EQ(got->query.flows[1].size, req.query.flows[1].size);

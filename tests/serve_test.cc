@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <thread>
 #include <vector>
@@ -147,7 +148,59 @@ TEST(Wire, QueryRequestRoundTrip) {
   EXPECT_EQ(QueryCacheKey(req, digest), QueryCacheKey(*got, digest));
 }
 
-TEST(Wire, QueryResponseRoundTrip) {
+// Every field set, the persistence counters included, so a decoder that
+// stops early or skips a field cannot pass as a round trip.
+ServerStatsWire FullStats() {
+  ServerStatsWire s;
+  s.queries_received = 100;
+  s.queries_ok = 90;
+  s.queries_rejected = 3;
+  s.queries_failed = 2;
+  for (int i = 0; i < 5; ++i) {
+    s.query_cache[i] = 10 + i;
+    s.path_cache[i] = 20 + i;
+  }
+  s.queue_depth = 2;
+  s.queue_capacity = 64;
+  s.workers = 4;
+  s.model_version = 9;
+  s.model_crc = 0xfeedf00d;
+  s.reloads_ok = 6;
+  s.reloads_failed = 1;
+  s.model_path = "m.ckpt";
+  s.worker_mode = true;
+  s.workers_configured = 4;
+  s.workers_alive = 3;
+  s.worker_spawns = 7;
+  s.worker_restarts = 2;
+  s.worker_crashes = 1;
+  s.watchdog_kills = 1;
+  s.garbage_replies = 1;
+  s.crash_retried_queries = 1;
+  s.breaker_trips = 1;
+  s.breaker_open = true;
+  s.quarantined_digests = 1;
+  s.router_mode = true;
+  s.shards.push_back({.address = "tcp:10.0.0.2:9000", .healthy = true, .model_version = 3,
+                      .dispatches = 100, .failures = 4, .retries = 3, .hedges = 2,
+                      .slots_fallback = 7, .slots_dropped = 1});
+  s.queries_shed = 5;
+  for (std::size_t i = 0; i < kNumShedReasons; ++i) s.shed_by_reason[i] = 30 + i;
+  s.brownout_queries = 2;
+  s.brownout_level = 1;
+  s.in_flight_cost = 12.5;
+  s.cost_budget = 640.0;
+  s.persist_enabled = true;
+  s.persist_segments_loaded = 41;
+  s.persist_entries_loaded = 42;
+  s.persist_entries_flushed = 43;
+  s.persist_records_corrupt = 44;
+  s.persist_digest_dropped = 45;
+  s.persist_flush_backlog = 46;
+  return s;
+}
+
+QueryResponse SampleResponse() {
   QueryResponse resp;
   resp.status = Status::Degraded("1 of 4 paths degraded");
   resp.bucket_pct[0] = {1.0, 2.5, 3.25};
@@ -160,13 +213,34 @@ TEST(Wire, QueryResponseRoundTrip) {
   resp.degradation.paths_degraded = 1;
   resp.degradation.paths_cached = 2;
   resp.degradation.first_error = "path 0: injected";
+  resp.degradation.brownout_level = 1;
+  resp.degradation.paths_brownout = 2;
   resp.model_version = 5;
   resp.model_crc = 0xdeadbeef;
   resp.query_cache_hit = true;
-  resp.stats.queries_received = 10;
-  resp.stats.query_cache[0] = 3;
-  resp.stats.model_path = "models/x.ckpt";
+  resp.shed_reason = static_cast<std::uint8_t>(ShedReason::kSojourn);
+  resp.shards.push_back(
+      {.shard = "unix:/tmp/s1.sock", .slots_assigned = 10, .slots_ok = 9, .slots_fallback = 1});
+  resp.stats = FullStats();
+  return resp;
+}
 
+PingResponse SamplePing() {
+  return {.ready = true, .worker_mode = true, .model_version = 5, .workers_alive = 2,
+          .router_mode = true, .shards_healthy = 2, .shards_total = 3, .model_crc = 0xc0ffee};
+}
+
+PathEstimate SamplePathEstimate() {
+  PathEstimate pe{};
+  for (std::size_t b = 0; b < pe.pct.size(); ++b) {
+    for (std::size_t i = 0; i < pe.pct[b].size(); ++i) pe.pct[b][i] = 1.0 + b + 0.01 * i;
+    pe.counts[b] = 3.0 * (b + 1);
+  }
+  return pe;
+}
+
+TEST(Wire, QueryResponseRoundTrip) {
+  const QueryResponse resp = SampleResponse();
   const StatusOr<QueryResponse> got = DecodeQueryResponse(EncodeQueryResponse(resp));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->status.code(), StatusCode::kDegraded);
@@ -182,32 +256,24 @@ TEST(Wire, QueryResponseRoundTrip) {
   EXPECT_EQ(got->model_version, 5u);
   EXPECT_EQ(got->model_crc, 0xdeadbeefu);
   EXPECT_TRUE(got->query_cache_hit);
-  EXPECT_EQ(got->stats.queries_received, 10u);
-  EXPECT_EQ(got->stats.query_cache[0], 3u);
-  EXPECT_EQ(got->stats.model_path, "models/x.ckpt");
+  EXPECT_EQ(got->stats.queries_received, 100u);
+  EXPECT_EQ(got->stats.query_cache[0], 10u);
+  EXPECT_EQ(got->stats.model_path, "m.ckpt");
+  EXPECT_EQ(got->stats.persist_flush_backlog, 46u);
 }
 
 TEST(Wire, StatsAndReloadRoundTrip) {
-  ServerStatsWire s;
-  s.queries_received = 100;
-  s.queries_rejected = 3;
-  s.path_cache[3] = 17;
-  s.queue_depth = 2;
-  s.queue_capacity = 64;
-  s.workers = 4;
-  s.model_version = 9;
-  s.reloads_failed = 1;
-  s.model_path = "m.ckpt";
-  const StatusOr<ServerStatsWire> got = DecodeStats(EncodeStats(s));
+  const StatusOr<ServerStatsWire> got = DecodeStats(EncodeStats(FullStats()));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->queries_received, 100u);
   EXPECT_EQ(got->queries_rejected, 3u);
-  EXPECT_EQ(got->path_cache[3], 17u);
+  EXPECT_EQ(got->path_cache[3], 23u);
   EXPECT_EQ(got->queue_depth, 2u);
   EXPECT_EQ(got->workers, 4u);
   EXPECT_EQ(got->model_version, 9u);
   EXPECT_EQ(got->reloads_failed, 1u);
   EXPECT_EQ(got->model_path, "m.ckpt");
+  EXPECT_EQ(got->persist_segments_loaded, 41u);
 
   ReloadRequest rr;
   rr.checkpoint_path = "models/new.ckpt";
@@ -226,13 +292,107 @@ TEST(Wire, StatsAndReloadRoundTrip) {
   EXPECT_EQ(rp->model_crc, 0x1234u);
 }
 
+// A fully populated sample of every wire message, with its decoder (none
+// for the ping and stats requests, whose bodies servers never decode).
+struct WireSample {
+  const char* name;
+  std::string bytes;
+  std::function<Status(const std::string&)> decode;
+};
+
+template <typename T>
+std::function<Status(const std::string&)> Decoder(StatusOr<T> (*decode)(const std::string&)) {
+  return [decode](const std::string& p) { return decode(p).status(); };
+}
+
+std::vector<WireSample> WireSamples() {
+  QueryRequest req = SampleRequest();
+  req.topo = {2, 2, 4, 2, 2};
+  req.priority = static_cast<std::uint8_t>(Priority::kInteractive);
+  req.brownout = 1;
+  const ShardQueryRequest shard_req{.query = req, .slots = {0, 3, 4}};
+  const ShardQueryResponse shard_resp{
+      .status = Status::Degraded("1 slot degraded"),
+      .degradation = {.paths_ok = 2, .paths_degraded = 1, .clamped_values = 6,
+                      .first_error = "slot 3: injected", .brownout_level = 2,
+                      .paths_brownout = 1},
+      .model_version = 7,
+      .model_crc = 0xabcd1234,
+      .wall_seconds = 0.25,
+      .estimates = {{0, SamplePathEstimate()}, {3, SamplePathEstimate()}}};
+  const RouterPathValue router_value{
+      .model_version = 8, .model_crc = 0xabcdef, .estimate = SamplePathEstimate()};
+  return {
+      {"query request", EncodeQueryRequest(req), Decoder(DecodeQueryRequest)},
+      {"query response", EncodeQueryResponse(SampleResponse()), Decoder(DecodeQueryResponse)},
+      {"stats request", EncodeStatsRequest(), nullptr},
+      {"stats", EncodeStats(FullStats()), Decoder(DecodeStats)},
+      {"reload request", EncodeReloadRequest({.checkpoint_path = "models/new.ckpt"}),
+       Decoder(DecodeReloadRequest)},
+      {"reload response",
+       EncodeReloadResponse(
+           {.status = Status::DataLoss("crc mismatch"), .model_version = 4, .model_crc = 0x1234}),
+       Decoder(DecodeReloadResponse)},
+      {"ping request", EncodePingRequest(), nullptr},
+      {"ping response", EncodePingResponse(SamplePing()), Decoder(DecodePingResponse)},
+      {"shard query request", EncodeShardQueryRequest(shard_req),
+       Decoder(DecodeShardQueryRequest)},
+      {"shard query response", EncodeShardQueryResponse(shard_resp),
+       Decoder(DecodeShardQueryResponse)},
+      {"path estimate value", EncodePathEstimateValue(SamplePathEstimate()),
+       Decoder(DecodePathEstimateValue)},
+      {"router path value", EncodeRouterPathValue(router_value), Decoder(DecodeRouterPathValue)},
+  };
+}
+
 TEST(Wire, EveryTruncationIsRejectedWithoutCrashing) {
-  const std::string payload = EncodeQueryRequest(SampleRequest());
-  for (std::size_t len = 0; len < payload.size(); ++len) {
-    const StatusOr<QueryRequest> got = DecodeQueryRequest(payload.substr(0, len));
-    ASSERT_FALSE(got.ok()) << "prefix of " << len << " bytes decoded";
+  // Every field of every message is required: no proper prefix may decode,
+  // however many trailing fields it lacks.
+  for (const WireSample& m : WireSamples()) {
+    if (!m.decode) continue;
+    for (std::size_t len = 0; len < m.bytes.size(); ++len) {
+      if (m.decode(m.bytes.substr(0, len)).ok()) {
+        ADD_FAILURE() << m.name << ": prefix of " << len << "/" << m.bytes.size()
+                      << " bytes decoded";
+        break;  // one report per message
+      }
+    }
+    EXPECT_TRUE(m.decode(m.bytes).ok()) << m.name;
   }
-  EXPECT_TRUE(DecodeQueryRequest(payload).ok());
+}
+
+TEST(Wire, EncodingsMatchPinnedBytes) {
+  // Differential oracle: size and hash of every encoder's output for the
+  // fixed samples, pinned from a known-good build. If one moves, the wire
+  // format moved, which breaks mixed-build fleets and persisted cache
+  // segments; that needs a kWireVersion bump, not a new pin.
+  struct Pin {
+    const char* name;
+    std::size_t size;
+    const char* hash;
+  };
+  const Pin pins[] = {
+      {"query request", 254, "5f2afbeec48354b0629e7ebc75605de8"},
+      {"query response", 790, "5b812bed5efced3bcb6b444397172574"},
+      {"stats request", 4, "b5d0f71112b155dfbd92ae95cfcc51cc"},
+      {"stats", 473, "c0bf160fd3e1039a4c690a84ff0acf90"},
+      {"reload request", 27, "57b5d5ae9f63bf3bdc3a39a971bd0fdf"},
+      {"reload response", 40, "ef8688a79afc48528aa2a4e271fcb9f1"},
+      {"ping request", 4, "b5d0f71112b155dfbd92ae95cfcc51cc"},
+      {"ping response", 31, "a4f654d6a844e63f9f9e9414759e525c"},
+      {"shard query request", 286, "523152b9f65bffe297b744dc7122b5f1"},
+      {"shard query response", 6607, "d9ea5d650a6d062f6f4403b2d93f8716"},
+      {"path estimate value", 3236, "5de999a00af464b3973b0081f8ed915c"},
+      {"router path value", 3248, "e32cdda65d5911bfd6a8777dd2bf723b"},
+  };
+  const std::vector<WireSample> samples = WireSamples();
+  ASSERT_EQ(samples.size(), std::size(pins));
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const std::string& b = samples[i].bytes;
+    ASSERT_STREQ(samples[i].name, pins[i].name);
+    EXPECT_EQ(b.size(), pins[i].size) << pins[i].name;
+    EXPECT_EQ(HashBytes(b.data(), b.size()).ToHex(), pins[i].hash) << pins[i].name;
+  }
 }
 
 TEST(Wire, TrailingBytesAndBadVersionAreRejected) {
@@ -241,6 +401,8 @@ TEST(Wire, TrailingBytesAndBadVersionAreRejected) {
             StatusCode::kInvalidArgument);
   std::string wrong = payload;
   wrong[0] = static_cast<char>(kWireVersion + 1);  // little-endian u32 version
+  EXPECT_EQ(DecodeQueryRequest(wrong).status().code(), StatusCode::kInvalidArgument);
+  wrong[0] = static_cast<char>(kWireVersion - 1);  // older versions are refused too
   EXPECT_EQ(DecodeQueryRequest(wrong).status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -954,6 +1116,23 @@ TEST(SocketServer, MalformedQueryGetsErrorResponseUnknownTypeHangsUp) {
     EXPECT_FALSE(resp->status.ok());
     EXPECT_NE(resp->status.message().find("decoding query request"), std::string::npos)
         << resp->status.ToString();
+
+    // Another wire version is refused with a typed error; a ping with a
+    // malformed body is still answered.
+    std::string other_version = EncodeQueryRequest(SampleRequest());
+    other_version[0] = static_cast<char>(kWireVersion - 1);
+    ASSERT_TRUE(SendFrame(*fd, static_cast<std::uint32_t>(MsgType::kQueryRequest),
+                          other_version)
+                    .ok());
+    frame = RecvFrame(*fd);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    resp = DecodeQueryResponse(frame->payload);
+    ASSERT_TRUE(resp.ok());
+    EXPECT_EQ(resp->status.code(), StatusCode::kInvalidArgument) << resp->status.ToString();
+    ASSERT_TRUE(SendFrame(*fd, static_cast<std::uint32_t>(MsgType::kPingRequest), "x").ok());
+    frame = RecvFrame(*fd);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_TRUE(DecodePingResponse(frame->payload).ok());
   }
   {
     StatusOr<UnixFd> fd = ConnectUnix(sock);
