@@ -65,10 +65,22 @@ std::vector<double> CombineBuckets(
     if (pct.empty() || w <= 0.0) continue;
     for (double v : pct) weighted.emplace_back(v, w / static_cast<double>(pct.size()));
   }
-  std::vector<double> out;
-  out.reserve(kNumPercentiles);
+  // WeightedPercentile for p = 1..100 with one sort: the targets rise with
+  // p, so one sweep of the same running sum finds every first entry whose
+  // cumulative weight reaches its target. `!(cum >= target)` sends a NaN
+  // sum or target to the last entry, as WeightedPercentile does.
+  std::vector<double> out(kNumPercentiles, 0.0);
+  if (weighted.empty()) return out;
+  std::sort(weighted.begin(), weighted.end());
+  double total = 0.0;
+  for (const auto& [v, w] : weighted) total += w;
+  if (total <= 0.0) return out;
+  std::size_t idx = 0;
+  double cum = weighted[0].second;
   for (int p = 1; p <= kNumPercentiles; ++p) {
-    out.push_back(WeightedPercentile(weighted, static_cast<double>(p)));
+    const double target = static_cast<double>(p) / 100.0 * total;
+    while (!(cum >= target) && idx + 1 < weighted.size()) cum += weighted[++idx].second;
+    out[static_cast<std::size_t>(p - 1)] = weighted[idx].first;
   }
   return out;
 }

@@ -60,14 +60,98 @@ int CountNonFinite(const PathEstimate& pe) {
 
 using PathFn = std::function<PathEstimate(const PathScenario&)>;
 
+// RunM3's primary estimator, split at the model forward so that the paths
+// of one query share one batched, tape-free forward (RunPathPipeline's
+// phase B) instead of running one forward each.
+class ModelStage {
+ public:
+  // One path's model inputs, compact: the hops are already embedded.
+  struct Input {
+    ml::Tensor fg_feat, hops, spec, baseline;
+    std::array<double, kNumOutputBuckets> counts{};
+  };
+
+  ModelStage(const M3Model& model, const NetConfig& cfg, bool use_context)
+      : model_(model), cfg_(cfg), use_context_(use_context) {}
+
+  // Everything before the batched forward: the estimator/path_forward
+  // fault point, flowSim, the feature maps and the hop embedding.
+  Input Prepare(const PathScenario& scenario) const {
+    M3_FAULT_POINT("estimator/path_forward");
+    const std::vector<FlowResult> fluid = RunPathFlowSim(scenario);
+    ScenarioFeatures feats = ExtractFeatures(scenario, fluid);
+    Input in;
+    in.spec = EncodeSpec(cfg_, ComputePathSpec(scenario, cfg_));
+    in.baseline = TargetToTensor(feats.flowsim_fg);
+    in.fg_feat = std::move(feats.fg_feat);
+    if (use_context_) in.hops = model_.EmbedHops(feats.bg_seq);
+    in.counts = FgBucketCounts(scenario);
+    return in;
+  }
+
+  // The forward of many prepared paths at once; row r belongs to inputs[r].
+  std::vector<M3Model::Prediction> Forward(const std::vector<const Input*>& inputs) const {
+    std::vector<M3Model::PredictInput> rows;
+    rows.reserve(inputs.size());
+    for (const Input* in : inputs) {
+      rows.push_back({&in->fg_feat, &in->hops, &in->spec, &in->baseline});
+    }
+    return model_.PredictBatch(rows, use_context_);
+  }
+
+  // Accepts one forward row. The model/forward fault point poisons it as a
+  // diverged or corrupted model would; a poisoned row throws.
+  PathEstimate Finish(const Input& in, const M3Model::Prediction& row) const {
+    int bad = row.num_nonfinite;
+    if (M3_FAULT_POINT_NAN("model/forward")) bad = kNumOutputBuckets * kNumPercentiles;
+    if (bad > 0) throw NonFiniteOutput(bad);
+    PathEstimate pe;
+    pe.pct = row.pct;
+    pe.counts = in.counts;
+    return pe;
+  }
+
+  // The whole primary estimate of one path, on its own.
+  PathEstimate Run(const PathScenario& scenario) const {
+    const Input in = Prepare(scenario);
+    return Finish(in, Forward({&in})[0]);
+  }
+
+ private:
+  const M3Model& model_;
+  const NetConfig& cfg_;
+  bool use_context_;
+};
+
+// One path's progress down the degradation ladder, kept across the
+// pipeline's phases. Its estimate goes straight to NetworkEstimate::paths.
+struct PathRun {
+  std::optional<PathScenario> scenario;
+  std::optional<Hash128> cache_key;
+  std::optional<ModelStage::Input> pending;  // prepared; its forward row is due
+  int attempts = 0;
+  int exceptions = 0, nonfinite = 0;
+  Status last_fail;
+  bool ok = false, cached = false;
+};
+
 // Runs sampling + per-path estimation + aggregation with per-path fault
 // isolation. Each path climbs the degradation ladder independently:
 // primary attempt -> retry (opts.max_attempts total) -> `fallback` (when
 // provided; nullptr means failures drop the path) -> dropped. Dropped paths
 // keep zero bucket counts, so aggregation reweights around them.
+//
+// With a `model` stage (RunM3, whose `primary` is model->Run) a primary
+// attempt spans three phases:
+//   (A) per path, in parallel: cache lookup, scenario and model->Prepare,
+//       with throw retries and the fallback inline;
+//   (B) one model->Forward over every path that got through (A);
+//   (C) per row, in path order: model->Finish, a rejected row retried on
+//       its own, then the fallback, cache insert and report.
 NetworkEstimate RunPathPipeline(const Topology& topo, const std::vector<Flow>& flows,
                                 const NetConfig& cfg, const M3Options& opts,
-                                const PathFn& estimate_path, const PathFn& fallback) {
+                                const PathFn& primary, const PathFn& fallback,
+                                const ModelStage* model = nullptr) {
   const auto t0 = Clock::now();
   NetworkEstimate est;
 
@@ -126,11 +210,95 @@ NetworkEstimate RunPathPipeline(const Topology& topo, const std::vector<Flow>& f
     return has_deadline &&
            std::chrono::duration<double>(Clock::now() - t0).count() >= opts.deadline_seconds;
   };
+  const PathCacheHooks* cache =
+      opts.path_cache != nullptr && opts.path_cache->key ? opts.path_cache : nullptr;
 
+  std::vector<PathRun> runs(work.size());
+  auto scenario_of = [&](std::size_t w) -> const PathScenario& {
+    PathRun& run = runs[w];
+    if (!run.scenario.has_value()) {
+      run.scenario = BuildPathScenario(topo, flows, decomp, sample[work[w]]);
+      if (Status v = ValidatePathScenario(*run.scenario); !v.ok()) {
+        throw std::runtime_error(v.ToString());
+      }
+    }
+    return *run.scenario;
+  };
+  // One attempt of an estimator step; a failure is classified into the
+  // path's counters.
+  auto attempt = [&](std::size_t w, const std::function<void()>& step) {
+    PathRun& run = runs[w];
+    try {
+      step();
+      return true;
+    } catch (const NonFiniteOutput& e) {
+      run.nonfinite += 1;
+      run.last_fail = Status::DataLoss(e.what());
+    } catch (const std::exception& e) {
+      run.exceptions += 1;
+      run.last_fail = Status::Internal(e.what());
+    }
+    return false;
+  };
+  auto estimate = [&](std::size_t w, const PathFn& fn) {
+    return attempt(w, [&] {
+      PathEstimate pe = fn(scenario_of(w));
+      if (const int bad = CountNonFinite(pe); bad > 0) throw NonFiniteOutput(bad);
+      est.paths[work[w]] = pe;
+    });
+  };
+  auto retry_primary = [&](std::size_t w) {
+    PathRun& run = runs[w];
+    for (; run.attempts < opts.max_attempts && !run.ok; ++run.attempts) {
+      run.ok = estimate(w, primary);
+    }
+  };
+  // The rest of the ladder once the primary is decided: cache insert, or
+  // the fallback or a drop; then the report.
+  auto settle = [&](std::size_t w) {
+    PathRun& run = runs[w];
+    const std::size_t i = work[w];
+    if (run.ok && !run.cached && run.cache_key.has_value() && cache->insert) {
+      try {
+        cache->insert(*run.cache_key, est.paths[i]);
+      } catch (...) {
+      }
+    }
+    bool degraded = false, dropped = false;
+    if (!run.ok) {
+      if (opts.strict) {
+        cancel.store(kStrict, std::memory_order_relaxed);
+        dropped = true;
+      } else if (fallback != nullptr && !past_deadline()) {
+        degraded = estimate(w, fallback);
+        dropped = !degraded;
+      } else {
+        dropped = true;
+      }
+    }
+    if (dropped) est.paths[i] = PathEstimate{};
+    run.scenario.reset();
+    run.pending.reset();
+
+    std::lock_guard<std::mutex> lock(mu);
+    rep.paths_ok += run.ok ? 1 : 0;
+    rep.paths_cached += run.cached ? 1 : 0;
+    rep.paths_retried += run.attempts > 1 ? 1 : 0;
+    rep.paths_degraded += degraded ? 1 : 0;
+    rep.paths_dropped += dropped ? 1 : 0;
+    rep.errors_exception += run.exceptions;
+    rep.errors_nonfinite += run.nonfinite;
+    if (!run.last_fail.ok() && i < first_error_idx) {
+      first_error_idx = i;
+      first_error_status = run.last_fail;
+    }
+  };
+
+  // Phase A.
   ParallelFor(
       work.size(),
       [&](std::size_t w) {
-        const std::size_t i = work[w];
+        PathRun& run = runs[w];
         // Cooperative cancellation: a strict-mode fault or an expired
         // deadline stops remaining paths before they start.
         if (cancel.load(std::memory_order_relaxed) != kNone || past_deadline()) {
@@ -142,87 +310,68 @@ NetworkEstimate RunPathPipeline(const Topology& topo, const std::vector<Flow>& f
           return;
         }
 
-        std::optional<PathScenario> scenario;
-        auto ensure_scenario = [&]() -> const PathScenario& {
-          if (!scenario.has_value()) {
-            scenario = BuildPathScenario(topo, flows, decomp, sample[i]);
-            if (Status v = ValidatePathScenario(*scenario); !v.ok()) {
-              throw std::runtime_error(v.ToString());
-            }
-          }
-          return *scenario;
-        };
-
-        PathEstimate result{};
-        int exceptions = 0, nonfinite = 0;
-        Status last_fail;
-        auto attempt = [&](const PathFn& fn) {
-          try {
-            PathEstimate pe = fn(ensure_scenario());
-            if (const int bad = CountNonFinite(pe); bad > 0) throw NonFiniteOutput(bad);
-            result = pe;
-            return true;
-          } catch (const NonFiniteOutput& e) {
-            nonfinite += 1;
-            last_fail = Status::DataLoss(e.what());
-          } catch (const std::exception& e) {
-            exceptions += 1;
-            last_fail = Status::Internal(e.what());
-          }
-          return false;
-        };
-
         // Per-path reuse: a cache hit bypasses the whole ladder. Hook
         // failures are swallowed — the cache accelerates, it never fails a
         // path (see PathCacheHooks).
-        bool cached = false;
-        if (opts.path_cache != nullptr && opts.path_cache->lookup) {
+        if (cache != nullptr) {
           try {
-            if (std::optional<PathEstimate> hit = opts.path_cache->lookup(ensure_scenario())) {
-              result = *hit;
-              cached = true;
+            run.cache_key = cache->key(scenario_of(w));
+            if (cache->lookup) {
+              if (std::optional<PathEstimate> hit = cache->lookup(*run.cache_key)) {
+                est.paths[work[w]] = *hit;
+                run.cached = run.ok = true;
+              }
             }
           } catch (...) {
           }
         }
-
-        bool ok = cached;
-        int attempts = 0;
-        for (; attempts < opts.max_attempts && !ok; ++attempts) ok = attempt(estimate_path);
-        if (ok && !cached && opts.path_cache != nullptr && opts.path_cache->insert) {
-          try {
-            opts.path_cache->insert(*scenario, result);
-          } catch (...) {
+        if (model == nullptr) {
+          retry_primary(w);
+        } else if (!run.ok) {
+          bool prepared = false;
+          for (; run.attempts < opts.max_attempts && !prepared; ++run.attempts) {
+            prepared = attempt(w, [&] { run.pending = model->Prepare(scenario_of(w)); });
+          }
+          if (prepared) {
+            // Phase C settles it; a retry there rebuilds the scenario.
+            run.scenario.reset();
+            return;
           }
         }
-        bool degraded = false, dropped = false;
-        if (!ok) {
-          if (opts.strict) {
-            cancel.store(kStrict, std::memory_order_relaxed);
-            dropped = true;
-          } else if (fallback != nullptr && !past_deadline()) {
-            degraded = attempt(fallback);
-            dropped = !degraded;
-          } else {
-            dropped = true;
-          }
-        }
-        est.paths[i] = dropped ? PathEstimate{} : result;
-
-        std::lock_guard<std::mutex> lock(mu);
-        rep.paths_ok += ok ? 1 : 0;
-        rep.paths_cached += cached ? 1 : 0;
-        rep.paths_retried += attempts > 1 ? 1 : 0;
-        rep.paths_degraded += degraded ? 1 : 0;
-        rep.paths_dropped += dropped ? 1 : 0;
-        rep.errors_exception += exceptions;
-        rep.errors_nonfinite += nonfinite;
-        if (!last_fail.ok() && i < first_error_idx) {
-          first_error_idx = i;
-          first_error_status = last_fail;
-        }
+        settle(w);
       },
       opts.num_threads);
+
+  // Phase B. If the batch throws, every row runs alone in phase C, so the
+  // failure lands only on the path that causes it.
+  std::vector<std::size_t> due;
+  std::vector<const ModelStage::Input*> inputs;
+  for (std::size_t w = 0; w < runs.size(); ++w) {
+    if (!runs[w].pending.has_value()) continue;
+    due.push_back(w);
+    inputs.push_back(&*runs[w].pending);
+  }
+  std::vector<M3Model::Prediction> rows;
+  if (!inputs.empty()) {
+    try {
+      rows = model->Forward(inputs);
+    } catch (const std::exception&) {
+      rows.clear();
+    }
+  }
+
+  // Phase C.
+  for (std::size_t r = 0; r < due.size(); ++r) {
+    const std::size_t w = due[r];
+    PathRun& run = runs[w];
+    const ModelStage::Input& in = *run.pending;
+    run.ok = attempt(w, [&] {
+      est.paths[work[w]] =
+          model->Finish(in, rows.empty() ? model->Forward({&in})[0] : rows[r]);
+    });
+    retry_primary(w);
+    settle(w);
+  }
 
   if (first_error_idx < sample.size()) {
     rep.first_error = "path " + std::to_string(first_error_idx) + ": " +
@@ -307,28 +456,16 @@ std::array<double, kNumOutputBuckets> NetworkEstimate::BucketP99() const {
 }
 
 NetworkEstimate RunM3(const Topology& topo, const std::vector<Flow>& flows,
-                      const NetConfig& cfg, M3Model& model, const M3Options& opts) {
-  const PathFn primary = [&](const PathScenario& scenario) {
-    M3_FAULT_POINT("estimator/path_forward");
-    const std::vector<FlowResult> fluid = RunPathFlowSim(scenario);
-    const ScenarioFeatures feats = ExtractFeatures(scenario, fluid);
-    const ml::Tensor spec = EncodeSpec(cfg, ComputePathSpec(scenario, cfg));
-    const ml::Tensor baseline = TargetToTensor(feats.flowsim_fg);
-    PathEstimate pe;
-    int bad_raw = 0;
-    pe.pct = model.Predict(feats.fg_feat, feats.bg_seq, spec, opts.use_context, &baseline,
-                           &bad_raw);
-    if (bad_raw > 0) throw NonFiniteOutput(bad_raw);
-    pe.counts = FgBucketCounts(scenario);
-    return pe;
-  };
+                      const NetConfig& cfg, const M3Model& model, const M3Options& opts) {
+  const ModelStage stage(model, cfg, opts.use_context);
+  const PathFn primary = [&](const PathScenario& scenario) { return stage.Run(scenario); };
   // Degraded mode: the flowSim-only estimate (no ML correction) for this
   // path — strictly worse accuracy, but always an answer.
   const PathFn fallback = [&](const PathScenario& scenario) {
     const std::vector<FlowResult> res = RunPathFlowSim(scenario);
     return FromTarget(BuildTarget(ForegroundSlowdowns(scenario, res)));
   };
-  return RunPathPipeline(topo, flows, cfg, opts, primary, fallback);
+  return RunPathPipeline(topo, flows, cfg, opts, primary, fallback, &stage);
 }
 
 NetworkEstimate RunNs3Path(const Topology& topo, const std::vector<Flow>& flows,

@@ -17,22 +17,26 @@
 #include "pathdecomp/decompose.h"
 #include "pathdecomp/sampling.h"
 #include "pktsim/config.h"
+#include "util/hash.h"
 #include "util/status.h"
 
 namespace m3 {
 
 /// Cross-query reuse hooks for per-path estimates (the serving layer's
 /// content-addressed path cache plugs in here; see src/serve/service.h).
-/// `lookup` runs before the primary estimator — returning a value skips all
-/// compute for that path and counts it as ok. `insert` runs after a
-/// successful *primary* estimate only, never after a fallback, so degraded
-/// answers are never cached. Both are called concurrently from path workers
-/// and must be thread-safe. The cache is an accelerator, never a
-/// correctness dependency: a hook that throws is treated as a miss (lookup)
-/// or a no-op (insert) and the path proceeds normally.
+/// `key` names a path scenario's content; it runs once per path, before the
+/// primary estimator, and the other two hooks run only with its result.
+/// `lookup` returning a value skips all compute for that path and counts it
+/// as ok. `insert` runs after a successful *primary* estimate only, never
+/// after a fallback, so degraded answers are never cached. All three are
+/// called concurrently from path workers and must be thread-safe. The cache
+/// is an accelerator, never a correctness dependency: a hook that throws is
+/// treated as a miss (key, lookup) or a no-op (insert) and the path
+/// proceeds normally.
 struct PathCacheHooks {
-  std::function<std::optional<PathEstimate>(const PathScenario&)> lookup;
-  std::function<void(const PathScenario&, const PathEstimate&)> insert;
+  std::function<Hash128(const PathScenario&)> key;
+  std::function<std::optional<PathEstimate>(const Hash128&)> lookup;
+  std::function<void(const Hash128&, const PathEstimate&)> insert;
 };
 
 struct M3Options {
@@ -133,7 +137,7 @@ struct NetworkEstimate {
 
 /// Full m3 pipeline with a trained model.
 NetworkEstimate RunM3(const Topology& topo, const std::vector<Flow>& flows,
-                      const NetConfig& cfg, M3Model& model, const M3Options& opts);
+                      const NetConfig& cfg, const M3Model& model, const M3Options& opts);
 
 /// ns-3-path: identical sampling/aggregation, but each path is simulated at
 /// packet level (the decomposition-only upper bound on m3's accuracy).

@@ -111,12 +111,17 @@ ml::Tensor TargetMask(const TargetDist& t) {
 
 std::array<std::array<double, kNumPercentiles>, kNumOutputBuckets> DecodeOutput(
     const ml::Tensor& out, int* num_nonfinite) {
+  return DecodeOutput(out.data(), num_nonfinite);
+}
+
+std::array<std::array<double, kNumPercentiles>, kNumOutputBuckets> DecodeOutput(
+    const float* out, int* num_nonfinite) {
   std::array<std::array<double, kNumPercentiles>, kNumOutputBuckets> dist{};
   int bad = 0;
   int idx = 0;
   for (int b = 0; b < kNumOutputBuckets; ++b) {
     for (int p = 0; p < kNumPercentiles; ++p) {
-      const double raw = std::exp(static_cast<double>(out.at(0, idx++)));
+      const double raw = std::exp(static_cast<double>(out[idx++]));
       // NaN would silently survive std::max (max(1.0, NaN) == 1.0); make the
       // clamp explicit and count what it absorbed.
       if (!std::isfinite(raw)) ++bad;

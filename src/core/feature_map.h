@@ -61,5 +61,9 @@ ml::Tensor TargetMask(const TargetDist& t);
 /// to detect a poisoned forward pass).
 std::array<std::array<double, kNumPercentiles>, kNumOutputBuckets> DecodeOutput(
     const ml::Tensor& out, int* num_nonfinite = nullptr);
+/// The same decode of one raw output row (kNumOutputBuckets * kNumPercentiles
+/// floats).
+std::array<std::array<double, kNumPercentiles>, kNumOutputBuckets> DecodeOutput(
+    const float* out, int* num_nonfinite = nullptr);
 
 }  // namespace m3

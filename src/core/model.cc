@@ -1,9 +1,9 @@
 #include "core/model.h"
 
-#include <limits>
+#include <cstring>
+#include <stdexcept>
 
 #include "ml/checkpoint.h"
-#include "util/fault.h"
 
 namespace m3 {
 namespace {
@@ -17,6 +17,12 @@ ml::TransformerConfig EncoderConfig(const M3ModelConfig& cfg) {
   tc.ff_dim = cfg.ff_dim;
   tc.max_seq = cfg.max_seq;
   return tc;
+}
+
+void CheckShape(const ml::Tensor* t, int rows, int cols, const char* what) {
+  if (t == nullptr || t->rows() != rows || t->cols() != cols) {
+    throw std::invalid_argument(std::string("M3Model::PredictBatch: bad ") + what + " shape");
+  }
 }
 
 }  // namespace
@@ -42,19 +48,65 @@ ml::Var M3Model::Forward(ml::Graph& g, const ml::Tensor& fg_feat, const ml::Tens
   return head_(g, in);
 }
 
-std::array<std::array<double, kNumPercentiles>, kNumOutputBuckets> M3Model::Predict(
-    const ml::Tensor& fg_feat, const ml::Tensor& bg_seq, const ml::Tensor& spec,
-    bool use_context, const ml::Tensor* baseline, int* num_nonfinite) {
-  ml::Graph g;
-  ml::Var out = Forward(g, fg_feat, bg_seq, spec, use_context);
-  if (baseline != nullptr) out = g.Add(out, g.Input(*baseline));
-  ml::Tensor raw = g.value(out);
-  if (M3_FAULT_POINT_NAN("model/forward")) {
-    // Fault injection: a poisoned forward pass, as a diverged or corrupted
-    // model would produce. Callers must detect it via num_nonfinite.
-    raw.Fill(std::numeric_limits<float>::quiet_NaN());
+ml::Tensor M3Model::EmbedHops(const ml::Tensor& bg_seq) const {
+  return bg_encoder_.Embed(bg_seq);
+}
+
+std::vector<M3Model::Prediction> M3Model::PredictBatch(const std::vector<PredictInput>& inputs,
+                                                       bool use_context) const {
+  const std::size_t rows = inputs.size();
+  std::vector<Prediction> out(rows);
+  if (rows == 0) return out;
+  const std::size_t feat = static_cast<std::size_t>(cfg_.feat_dim);
+  const std::size_t d = static_cast<std::size_t>(cfg_.d_model);
+  const std::size_t spec = static_cast<std::size_t>(cfg_.spec_dim);
+  const std::size_t out_dim = static_cast<std::size_t>(cfg_.out_dim);
+  const std::size_t in_dim = feat + d + spec;
+
+  std::vector<const ml::Tensor*> hops;
+  for (const PredictInput& in : inputs) {
+    CheckShape(in.fg_feat, 1, cfg_.feat_dim, "fg_feat");
+    CheckShape(in.spec, 1, cfg_.spec_dim, "spec");
+    if (in.baseline != nullptr) CheckShape(in.baseline, 1, cfg_.out_dim, "baseline");
+    if (!use_context) continue;
+    if (in.hops == nullptr) throw std::invalid_argument("M3Model::PredictBatch: no hops");
+    hops.push_back(in.hops);
   }
-  return DecodeOutput(raw, num_nonfinite);
+
+  // Context rows: every input's hops through the encoder at once, or zeros
+  // for the no-context ablation.
+  ml::FloatVec ctx(rows * d, 0.0f);
+  if (use_context) bg_encoder_.EncodeBatch(hops, ctx.data());
+
+  // Head over [rows, fg | ctx | spec].
+  ml::FloatVec head_in(rows * in_dim);
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* row = head_in.data() + r * in_dim;
+    std::memcpy(row, inputs[r].fg_feat->data(), feat * sizeof(float));
+    std::memcpy(row + feat, ctx.data() + r * d, d * sizeof(float));
+    std::memcpy(row + feat + d, inputs[r].spec->data(), spec * sizeof(float));
+  }
+  ml::FloatVec hidden(rows * static_cast<std::size_t>(head_.hidden_features()));
+  ml::FloatVec raw(rows * out_dim);
+  head_.Infer(head_in.data(), static_cast<int>(rows), hidden.data(), raw.data());
+
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* row = raw.data() + r * out_dim;
+    if (const ml::Tensor* base = inputs[r].baseline; base != nullptr) {
+      for (std::size_t j = 0; j < out_dim; ++j) row[j] += base->data()[j];
+    }
+    out[r].pct = DecodeOutput(row, &out[r].num_nonfinite);
+  }
+  return out;
+}
+
+M3Model::Percentiles M3Model::Predict(const ml::Tensor& fg_feat, const ml::Tensor& bg_seq,
+                                      const ml::Tensor& spec, bool use_context,
+                                      const ml::Tensor* baseline, int* num_nonfinite) const {
+  const ml::Tensor hops = use_context ? EmbedHops(bg_seq) : ml::Tensor();
+  const Prediction p = PredictBatch({{&fg_feat, &hops, &spec, baseline}}, use_context)[0];
+  if (num_nonfinite != nullptr) *num_nonfinite = p.num_nonfinite;
+  return p.pct;
 }
 
 std::vector<ml::Parameter*> M3Model::params() {

@@ -36,24 +36,57 @@ class M3Model {
  public:
   explicit M3Model(const M3ModelConfig& cfg = M3ModelConfig());
 
-  /// Builds the forward pass. `bg_seq` is [n_hops, feat_dim] (n >= 1; pass
-  /// a zero row if a hop has no background traffic). When `use_context` is
-  /// false the context vector is replaced with zeros (the paper's "m3 w/o
-  /// context" ablation, Fig. 16).
+  /// Decoded slowdown percentiles per output bucket.
+  using Percentiles = std::array<std::array<double, kNumPercentiles>, kNumOutputBuckets>;
+
+  /// One input row of PredictBatch (the tensors are not owned).
+  struct PredictInput {
+    const ml::Tensor* fg_feat = nullptr;   // [1, feat_dim]
+    const ml::Tensor* hops = nullptr;      // EmbedHops(bg_seq); unread without context
+    const ml::Tensor* spec = nullptr;      // [1, spec_dim]
+    const ml::Tensor* baseline = nullptr;  // [1, out_dim], or nullptr for zero
+  };
+  struct Prediction {
+    Percentiles pct{};
+    int num_nonfinite = 0;  // raw outputs that were NaN/inf before the decode clamp
+  };
+
+  /// Builds the training forward pass on an autograd tape. `bg_seq` is
+  /// [n_hops, feat_dim] (n >= 1; pass a zero row if a hop has no background
+  /// traffic). When `use_context` is false the context vector is replaced
+  /// with zeros (the paper's "m3 w/o context" ablation, Fig. 16). Inference
+  /// goes through PredictBatch instead; this is also its differential
+  /// oracle.
   ml::Var Forward(ml::Graph& g, const ml::Tensor& fg_feat, const ml::Tensor& bg_seq,
                   const ml::Tensor& spec, bool use_context = true);
 
-  /// Inference: decoded slowdown percentiles per output bucket. The model
-  /// output is a log-space *correction* added to `baseline` (flowSim's own
-  /// bucketed log-slowdown percentiles, [1, 400]); pass nullptr for a zero
-  /// baseline (absolute prediction). When `num_nonfinite` is non-null it
-  /// receives the number of raw output values that were NaN/inf before the
-  /// decode clamp — a non-zero count means the forward pass was poisoned
-  /// and the decoded floor values should not be trusted.
-  std::array<std::array<double, kNumPercentiles>, kNumOutputBuckets> Predict(
-      const ml::Tensor& fg_feat, const ml::Tensor& bg_seq, const ml::Tensor& spec,
-      bool use_context = true, const ml::Tensor* baseline = nullptr,
-      int* num_nonfinite = nullptr);
+  /// The encoder's input layer for one path's `bg_seq` ([n_hops, feat_dim],
+  /// n_hops in [1, max_seq]): [n_hops, d_model]. It runs per path, so a
+  /// caller batching many paths keeps this compact tensor per path instead
+  /// of the raw hop features. Throws std::invalid_argument on a bad shape.
+  ml::Tensor EmbedHops(const ml::Tensor& bg_seq) const;
+
+  /// Tape-free inference over many inputs at once (the sampled paths of one
+  /// query). The encoder blocks run their projections, norms and
+  /// feed-forward as one pass over every input's embedded hop rows, with
+  /// attention and pooling per input, and the head runs once over all rows.
+  /// The model output is a log-space *correction* added to each row's
+  /// `baseline` (flowSim's own bucketed log-slowdown percentiles) and
+  /// decoded; `num_nonfinite` counts raw values that were NaN/inf before the
+  /// decode clamp, so a non-zero count marks a poisoned forward whose
+  /// decoded floor values must not be trusted. Row i bitwise equals
+  /// value(Forward(inputs[i]) + baseline) decoded, whatever the batch holds.
+  /// Throws std::invalid_argument on a mis-shaped input. Thread-safe; the
+  /// scratch lives for one call.
+  std::vector<Prediction> PredictBatch(const std::vector<PredictInput>& inputs,
+                                       bool use_context = true) const;
+
+  /// One-row PredictBatch; pass nullptr `baseline` for an absolute
+  /// prediction.
+  Percentiles Predict(const ml::Tensor& fg_feat, const ml::Tensor& bg_seq,
+                      const ml::Tensor& spec, bool use_context = true,
+                      const ml::Tensor* baseline = nullptr,
+                      int* num_nonfinite = nullptr) const;
 
   std::vector<ml::Parameter*> params();
   std::size_t num_parameters();

@@ -3,7 +3,9 @@
 // A Graph is a single forward episode: operations execute eagerly and are
 // recorded on a tape; Backward() walks the tape in reverse, accumulating
 // gradients into each node and into the bound Parameters. Graphs are cheap
-// to construct and are discarded after each step.
+// to construct and are discarded after each step. Graphs are for training
+// (and as the differential oracle of inference); inference runs the
+// layers' tape-free Infer paths (M3Model::PredictBatch).
 #pragma once
 
 #include <cstdint>
@@ -21,6 +23,10 @@ struct Var {
 
 /// Activation fused into Graph::Linear.
 enum class Act : std::uint8_t { kNone, kRelu, kGelu };
+
+/// Epsilon of the row-wise RMS norm (Graph::RmsNorm and the tape-free
+/// RmsNormLayer::Infer share it, so both compute the same bits).
+inline constexpr float kRmsNormEps = 1e-6f;
 
 class Graph {
  public:

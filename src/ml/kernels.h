@@ -68,6 +68,14 @@ KernelImpl ResolveKernelImpl(const char* env_value);
 // Shapes follow autograd's MatMul: A [m,k], B [k,n], C/dC [m,n]. The AVX
 // tiers carry dedicated m=1 (GEMV) and small-m panel paths for the
 // model's worst shapes (head_fc1/head_fc2/seq_in_proj).
+//
+// Row-invariance contract: for a fixed implementation, row i of GemmAccum's
+// C depends only on row i of A, on B and on row i's initial value — never
+// on m or on the other rows. Every element is one accumulation over k in
+// ascending order, whichever m-path (GEMV, panel, blocked) computes it.
+// Batched inference (M3Model::PredictBatch, one GEMM over the rows of many
+// paths) relies on it to equal the per-path autograd forward bitwise;
+// Kernels.GemmRowsIndependentOfBatchHeight checks it on the model's shapes.
 
 /// C += A * B
 void GemmAccum(const float* a, const float* b, float* c, int m, int k, int n);

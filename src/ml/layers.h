@@ -1,4 +1,8 @@
-// Trainable layers built on the autograd graph.
+// Trainable layers built on the autograd graph. Each layer also has a
+// const, tape-free Infer() for inference: the same kernel calls as its
+// Graph forward on row-major float buffers, with no tape, so every row it
+// computes bitwise equals the Graph's value for that row (the row-invariance
+// contract in ml/kernels.h makes this hold at any batch height).
 #pragma once
 
 #include <string>
@@ -19,6 +23,8 @@ class Linear {
   Linear(const std::string& name, int in, int out, Rng& rng);
 
   Var operator()(Graph& g, Var x, Act act = Act::kNone);
+  /// out[rows, out_features] = act(x[rows, in_features] W + b).
+  void Infer(const float* x, int rows, float* out, Act act = Act::kNone) const;
   void CollectParams(std::vector<Parameter*>& out);
 
   int in_features() const { return w_.value.rows(); }
@@ -36,6 +42,8 @@ class RmsNormLayer {
   RmsNormLayer(const std::string& name, int dim);
 
   Var operator()(Graph& g, Var x);
+  /// Normalizes x[rows, dim] into out; `inv_r` receives the [rows] 1/rms.
+  void Infer(const float* x, int rows, float* out, float* inv_r) const;
   void CollectParams(std::vector<Parameter*>& out);
 
  private:
@@ -49,6 +57,9 @@ class Mlp {
   Mlp(const std::string& name, int in, int hidden, int out, Rng& rng);
 
   Var operator()(Graph& g, Var x);
+  /// out[rows, out] from x[rows, in]; `hidden` is [rows, hidden] scratch.
+  void Infer(const float* x, int rows, float* hidden, float* out) const;
+  int hidden_features() const { return fc1_.out_features(); }
   void CollectParams(std::vector<Parameter*>& out);
 
  private:

@@ -20,12 +20,25 @@ struct TransformerConfig {
   int max_seq = 8;
 };
 
+/// Buffers of one TransformerEncoder::EncodeBatch call, sized for its rows
+/// and its longest sequence.
+struct EncodeScratch {
+  EncodeScratch(const TransformerConfig& cfg, int rows, int max_len);
+
+  FloatVec h, q, k, v, ff, inv_r;        // [rows, *] over all sequences
+  FloatVec qh, kh, vh, scores, head_out;  // one head of one sequence
+};
+
 class TransformerBlock {
  public:
   TransformerBlock() = default;
   TransformerBlock(const std::string& name, const TransformerConfig& cfg, Rng& rng);
 
   Var operator()(Graph& g, Var x);  // [n, d] -> [n, d]
+  /// Tape-free, in place on x[rows, d], where the rows stack sequences of
+  /// `seq_lens` rows each: the projections, norms and feed-forward run over
+  /// all rows at once, attention within each sequence.
+  void Infer(float* x, const std::vector<int>& seq_lens, int rows, EncodeScratch& s) const;
   void CollectParams(std::vector<Parameter*>& out);
 
  private:
@@ -45,6 +58,16 @@ class TransformerEncoder {
   /// Encodes a [n, input_dim] sequence into a [1, d_model] context vector.
   /// n must be in [1, max_seq].
   Var Encode(Graph& g, const Tensor& sequence);
+
+  /// Tape-free Encode in two steps. Embed is the input layer of one
+  /// [n, input_dim] sequence (n in [1, max_seq]): the input projection plus
+  /// the positional embedding, [n, d_model]. EncodeBatch runs the rest for
+  /// several embedded sequences at once: the blocks over their stacked rows,
+  /// then the pool and final norm, one [1, d_model] context row per
+  /// sequence into `ctx`. Each row bitwise equals Encode's value for that
+  /// sequence alone.
+  Tensor Embed(const Tensor& sequence) const;
+  void EncodeBatch(const std::vector<const Tensor*>& embedded, float* ctx) const;
 
   void CollectParams(std::vector<Parameter*>& out);
   const TransformerConfig& config() const { return cfg_; }

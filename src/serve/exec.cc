@@ -184,6 +184,28 @@ void StampBrownout(std::uint8_t level, int paths_brownout, NetworkEstimate* est)
   }
 }
 
+// The estimator's per-path reuse hooks over ctx.path_cache; empty when the
+// query opts out or the context has no path cache.
+PathCacheHooks PathCacheHooksFor(const QueryRequest& req, const ModelSnapshot& snap,
+                                 const ExecContext& ctx) {
+  PathCacheHooks hooks;
+  if (req.no_cache || ctx.path_cache == nullptr) return hooks;
+  hooks.key = [&req, &snap](const PathScenario& sc) {
+    return PathCacheKey(sc, req.cfg, req.use_context, snap.digest);
+  };
+  hooks.lookup = [&ctx](const Hash128& key) { return ctx.path_cache->Lookup(key); };
+  if (req.brownout < 2) {
+    // flowSim-substitute estimates must never be cached under the
+    // model-digest key (a later full-quality query would replay them).
+    hooks.insert = [&ctx, &snap](const Hash128& key, const PathEstimate& pe) {
+      if (ctx.path_cache->Insert(key, pe) && ctx.persist_path) {
+        ctx.persist_path(key, snap.digest, pe);
+      }
+    };
+  }
+  return hooks;
+}
+
 }  // namespace
 
 QueryResponse ExecuteQueryOnSnapshot(const QueryRequest& req, const ModelSnapshot& snap,
@@ -210,24 +232,8 @@ QueryResponse ExecuteQueryOnSnapshot(const QueryRequest& req, const ModelSnapsho
     }
   }
 
-  PathCacheHooks hooks;
-  if (!req.no_cache && ctx.path_cache != nullptr) {
-    hooks.lookup = [&ctx, &req, &snap](const PathScenario& sc) {
-      return ctx.path_cache->Lookup(
-          PathCacheKey(sc, req.cfg, req.use_context, snap.digest));
-    };
-    if (req.brownout < 2) {
-      // flowSim-substitute estimates must never be cached under the
-      // model-digest key (a later full-quality query would replay them).
-      hooks.insert = [&ctx, &req, &snap](const PathScenario& sc, const PathEstimate& pe) {
-        const Hash128 key = PathCacheKey(sc, req.cfg, req.use_context, snap.digest);
-        if (ctx.path_cache->Insert(key, pe) && ctx.persist_path) {
-          ctx.persist_path(key, snap.digest, pe);
-        }
-      };
-    }
-    p.mopts.path_cache = &hooks;
-  }
+  const PathCacheHooks hooks = PathCacheHooksFor(req, snap, ctx);
+  if (hooks.key) p.mopts.path_cache = &hooks;
 
   // Brownout level 2: substitute flowSim for the model — Parsimon's bet
   // that a cheap flow-level estimate beats a timeout under overload.
@@ -277,25 +283,8 @@ ShardQueryResponse ExecuteShardOnSnapshot(const ShardQueryRequest& req,
     p.mopts.sample_slots = &req.slots;
   }
 
-  PathCacheHooks hooks;
-  if (!req.query.no_cache && ctx.path_cache != nullptr) {
-    hooks.lookup = [&ctx, &req, &snap](const PathScenario& sc) {
-      return ctx.path_cache->Lookup(
-          PathCacheKey(sc, req.query.cfg, req.query.use_context, snap.digest));
-    };
-    if (req.query.brownout < 2) {
-      // As in ExecuteQueryOnSnapshot: never cache flowSim substitutes
-      // under the model-digest key.
-      hooks.insert = [&ctx, &req, &snap](const PathScenario& sc, const PathEstimate& pe) {
-        const Hash128 key =
-            PathCacheKey(sc, req.query.cfg, req.query.use_context, snap.digest);
-        if (ctx.path_cache->Insert(key, pe) && ctx.persist_path) {
-          ctx.persist_path(key, snap.digest, pe);
-        }
-      };
-    }
-    p.mopts.path_cache = &hooks;
-  }
+  const PathCacheHooks hooks = PathCacheHooksFor(req.query, snap, ctx);
+  if (hooks.key) p.mopts.path_cache = &hooks;
 
   NetworkEstimate est =
       req.query.brownout >= 2

@@ -30,10 +30,10 @@ namespace m3::serve {
 struct ModelSnapshot {
   explicit ModelSnapshot(const M3ModelConfig& cfg) : model(cfg) {}
 
-  // `mutable` because Predict() builds a per-call graph and is therefore
-  // non-const; concurrent Predict on one model is safe (the estimator
-  // already does it across path workers). By convention nothing mutates
-  // parameters after publication.
+  // Inference (Predict/PredictBatch, RunM3) is const and safe to run
+  // concurrently on one model. `mutable` remains only because the
+  // benchmark harness (perfbench/) binds an `M3Model&` to a published
+  // snapshot's model; nothing mutates parameters after publication.
   mutable M3Model model;
   ml::CheckpointInfo info;     // what the checkpoint file carried
   std::string checkpoint_path;

@@ -17,9 +17,13 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 
 namespace m3 {
 namespace {
+
+// Owns a getaddrinfo result list, so every return path frees it.
+using AddrInfoList = std::unique_ptr<addrinfo, decltype(&::freeaddrinfo)>;
 
 std::string Errno(const std::string& what) {
   return what + ": " + std::strerror(errno);
@@ -242,6 +246,7 @@ StatusOr<UnixFd> ListenTcp(const std::string& host, std::uint16_t port, int back
       rc != 0) {
     return Status::InvalidArgument("resolve " + host + ": " + ::gai_strerror(rc));
   }
+  const AddrInfoList owned(res, &::freeaddrinfo);
   Status last = Status::Unavailable("no usable address for " + host + ":" + service);
   for (addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
     UnixFd fd(::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol));
@@ -261,10 +266,8 @@ StatusOr<UnixFd> ListenTcp(const std::string& host, std::uint16_t port, int back
       last = Status::Unavailable(Errno("listen " + host + ":" + service));
       continue;
     }
-    ::freeaddrinfo(res);
     return fd;
   }
-  ::freeaddrinfo(res);
   return last;
 }
 
@@ -280,6 +283,7 @@ StatusOr<UnixFd> ConnectTcpTimeout(const std::string& host, std::uint16_t port,
   if (const int rc = ::getaddrinfo(host.c_str(), service.c_str(), &hints, &res); rc != 0) {
     return Status::InvalidArgument("resolve " + host + ": " + ::gai_strerror(rc));
   }
+  const AddrInfoList owned(res, &::freeaddrinfo);
   Status last = Status::Unavailable("no usable address for " + where);
   for (addrinfo* ai = res; ai != nullptr; ai = ai->ai_next) {
     UnixFd fd(::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol));
@@ -306,7 +310,6 @@ StatusOr<UnixFd> ConnectTcpTimeout(const std::string& host, std::uint16_t port,
         continue;
       }
       if (rc == 0) {
-        ::freeaddrinfo(res);
         return Status::DeadlineExceeded("connect " + where + " timed out after " +
                                         std::to_string(timeout_seconds) + "s");
       }
@@ -334,7 +337,6 @@ StatusOr<UnixFd> ConnectTcpTimeout(const std::string& host, std::uint16_t port,
     ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     return fd;
   }
-  ::freeaddrinfo(res);
   return last;
 }
 

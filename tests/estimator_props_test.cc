@@ -2,7 +2,9 @@
 // suites don't cover directly.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 
 #include "core/aggregate.h"
 #include "core/dataset.h"
@@ -36,6 +38,43 @@ TEST(AggregateProps, DoublingAllWeightsIsInvariant) {
   std::vector<std::pair<double, double>> w2{{1, 2}, {5, 4}, {9, 2}};
   for (double p : {25.0, 50.0, 75.0, 99.0}) {
     EXPECT_DOUBLE_EQ(WeightedPercentile(w1, p), WeightedPercentile(w2, p));
+  }
+}
+
+// CombineBuckets sorts once and sweeps all 100 percentiles; its oracle is
+// the per-percentile WeightedPercentile loop over the same pairs.
+TEST(AggregateProps, CombineBucketsMatchesPerPercentileWeightedPercentile) {
+  Rng rng(17);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::array<std::vector<double>, kNumOutputBuckets> bucket_pct;
+    std::array<double, kNumOutputBuckets> counts{};
+    std::vector<std::pair<double, double>> weighted;
+    for (int b = 0; b < kNumOutputBuckets; ++b) {
+      auto& pct = bucket_pct[static_cast<std::size_t>(b)];
+      // A single entry, an empty bucket, or a full percentile vector.
+      const int len = rng.NextBounded(4) == 0 ? 1 : (rng.NextBounded(5) == 0 ? 0 : 100);
+      const bool ties = rng.NextBounded(2) == 0;  // few distinct values
+      for (int i = 0; i < len; ++i) {
+        pct.push_back(ties ? 1.0 + 0.5 * static_cast<double>(rng.NextBounded(4))
+                           : rng.Uniform(1.0, 50.0));
+      }
+      // Zero, integral or fractional bucket counts.
+      double& c = counts[static_cast<std::size_t>(b)];
+      const std::uint64_t kind = rng.NextBounded(4);
+      c = kind == 0   ? 0.0
+          : kind == 1 ? rng.Uniform(0.1, 300.0)
+                      : static_cast<double>(1 + rng.NextBounded(500));
+      if (pct.empty() || c <= 0.0) continue;
+      for (double v : pct) weighted.emplace_back(v, c / static_cast<double>(pct.size()));
+    }
+    const std::vector<double> got = CombineBuckets(bucket_pct, counts);
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(kNumPercentiles));
+    for (int p = 1; p <= kNumPercentiles; ++p) {
+      const double want = WeightedPercentile(weighted, static_cast<double>(p));
+      const double g = got[static_cast<std::size_t>(p - 1)];
+      ASSERT_EQ(std::memcmp(&g, &want, sizeof(double)), 0)
+          << "trial " << trial << " p" << p << ": " << g << " vs " << want;
+    }
   }
 }
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ml/autograd.h"
@@ -141,6 +143,39 @@ TEST(Kernels, GemmParityUnalignedPointers) {
     kernels::GemmAccum(a.data() + 1, b.data() + 1, c_got.data() + 1, s.m, s.k, s.n);
     kernels::GemmAccumNaive(a.data() + 1, b.data() + 1, c_ref.data() + 1, s.m, s.k, s.n);
     ExpectAllNear(c_got, c_ref, GemmTol(s.k), "GemmAccum unaligned");
+  }
+}
+
+// The row-invariance contract (ml/kernels.h) that batched inference relies
+// on: row i of an m-row GemmAccum is bitwise the 1-row GemmAccum of that
+// row, whatever m is, on every implementation and every model shape.
+TEST(Kernels, GemmRowsIndependentOfBatchHeight) {
+  constexpr int kMaxRows = 25;
+  const std::pair<int, int> kModelShapes[] = {{1010, 96}, {96, 96},   {96, 192},
+                                              {192, 96},  {1127, 256}, {256, 400}};
+  for (KernelImpl impl : AvailableImpls()) {
+    ImplGuard guard(impl);
+    for (const auto& [k, n] : kModelShapes) {
+      Rng rng(static_cast<std::uint64_t>(k) * 1000 + static_cast<std::uint64_t>(n));
+      const std::vector<float> a = RandomVec(static_cast<std::size_t>(kMaxRows) * k, rng);
+      const std::vector<float> b = RandomVec(static_cast<std::size_t>(k) * n, rng);
+      const std::vector<float> c0 = RandomVec(static_cast<std::size_t>(kMaxRows) * n, rng);
+      std::vector<float> one_row = c0;
+      for (int i = 0; i < kMaxRows; ++i) {
+        kernels::GemmAccum(a.data() + static_cast<std::size_t>(i) * k, b.data(),
+                           one_row.data() + static_cast<std::size_t>(i) * n, 1, k, n);
+      }
+      for (int m = 1; m <= kMaxRows; ++m) {
+        std::vector<float> c(c0.begin(), c0.begin() + static_cast<std::ptrdiff_t>(m) * n);
+        kernels::GemmAccum(a.data(), b.data(), c.data(), m, k, n);
+        for (int i = 0; i < m; ++i) {
+          const std::size_t row = static_cast<std::size_t>(i) * n;
+          EXPECT_EQ(std::memcmp(c.data() + row, one_row.data() + row, n * sizeof(float)), 0)
+              << kernels::KernelImplName(impl) << " k=" << k << " n=" << n << " m=" << m
+              << " row " << i;
+        }
+      }
+    }
   }
 }
 

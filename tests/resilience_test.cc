@@ -366,6 +366,39 @@ TEST(EstimatorResilience, NanForwardIsCountedAndContained) {
       << est.degradation.first_error;
 }
 
+TEST(EstimatorResilience, PoisonedRowRetriesAloneAndMatchesCleanRunBitwise) {
+  QueryFixture q;
+  const NetworkEstimate clean = q.Run();
+
+  FaultGuard guard;
+  // The query's paths share one batched forward; the fault poisons its
+  // second row (path 1) once. Only that row is retried, on its own.
+  FaultSpec spec;
+  spec.mode = FaultMode::kNan;
+  spec.fire_from = 2;
+  spec.fire_count = 1;
+  FaultRegistry::Instance().Arm("model/forward", spec);
+  const NetworkEstimate est = q.Run();
+
+  EXPECT_EQ(est.status.code(), StatusCode::kOk) << est.status.ToString();
+  EXPECT_EQ(est.degradation.paths_ok, 4);
+  EXPECT_EQ(est.degradation.paths_retried, 1);
+  EXPECT_EQ(est.degradation.errors_nonfinite, 1);
+  EXPECT_EQ(est.degradation.errors_exception, 0);
+  EXPECT_EQ(est.degradation.first_error.rfind("path 1: DATA_LOSS", 0), 0u)
+      << est.degradation.first_error;
+  EXPECT_EQ(FaultRegistry::Instance().hits("model/forward"), 5u);  // 4 rows + 1 retry
+  ASSERT_EQ(est.paths.size(), clean.paths.size());
+  for (std::size_t i = 0; i < clean.paths.size(); ++i) {
+    EXPECT_EQ(est.paths[i].pct, clean.paths[i].pct) << "path " << i;
+    EXPECT_EQ(est.paths[i].counts, clean.paths[i].counts) << "path " << i;
+  }
+  ASSERT_EQ(est.combined_pct.size(), clean.combined_pct.size());
+  for (std::size_t i = 0; i < clean.combined_pct.size(); ++i) {
+    EXPECT_EQ(est.combined_pct[i], clean.combined_pct[i]) << i;
+  }
+}
+
 TEST(EstimatorResilience, FallbackFaultDropsPathAndReweights) {
   QueryFixture q;
   FaultGuard guard;

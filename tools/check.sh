@@ -47,16 +47,17 @@ ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
 echo "== kernels: SIMD parity suites under ASan+UBSan for every M3_KERNEL =="
 # Every dispatchable tier (including forced-but-unavailable values, which
 # must fall back gracefully) runs the kernel parity + fused-op + trainer
-# determinism suites under both sanitizers: masked tail loads/stores, the
-# arena recycling, and the fused backward passes are exactly where an
-# out-of-bounds lane or UB would hide.
+# determinism suites and the batched-inference parity suite under both
+# sanitizers: masked tail loads/stores, the arena recycling, the fused
+# backward passes and the batched forward's scratch offsets are exactly
+# where an out-of-bounds lane or UB would hide.
 cmake -B build-ubsan -S . -DM3_SANITIZE=undefined "$@"
 cmake --build build-ubsan -j"$JOBS" --target m3_tests
 for kernel_impl in naive tiled avx2 avx512; do
   for san_build in build-asan build-ubsan; do
     echo "--  M3_KERNEL=$kernel_impl ($san_build)"
     M3_KERNEL="$kernel_impl" ctest --test-dir "$san_build" --output-on-failure -j"$JOBS" \
-      -R 'Kernels|KernelDispatch|AutogradFused|TensorArena|TensorAlignment|TrainerParallel\.'
+      -R 'Kernels|KernelDispatch|AutogradFused|TensorArena|TensorAlignment|TrainerParallel\.|M3ModelBatch'
   done
 done
 
@@ -72,9 +73,10 @@ cmake --build build-tsan -j"$JOBS" --target m3_tests
 ctest --test-dir build-tsan --output-on-failure -j"$JOBS" \
   -R 'Service|SocketServer|ModelRegistry|LruCache|ThreadPool|Persist'
 
-echo "== chaos: supervised-worker + router fleet suites under ASan =="
+# SocketServer rides along so LeakSanitizer sees every TCP connect path.
+echo "== chaos: supervised-worker + router fleet + socket suites under ASan =="
 ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'WorkerPool|Supervisor|ChaosSoak|SocketTimeout|HashRing|ShardBreaker|ShardWire|ShardExec|RouterChaos'
+  -R 'WorkerPool|Supervisor|ChaosSoak|SocketTimeout|SocketServer|HashRing|ShardBreaker|ShardWire|ShardExec|RouterChaos'
 
 echo "== chaos: live kill-storm mini-soak (m3d + load-gen vs SIGKILL) =="
 cmake --build build -j"$JOBS" --target m3d m3_client train_m3
