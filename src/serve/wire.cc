@@ -1,6 +1,7 @@
 #include "serve/wire.h"
 
 #include <cstring>
+#include <type_traits>
 
 #include "pathdecomp/path_topology.h"
 
@@ -12,103 +13,81 @@ namespace {
 constexpr const char* kQueryKeySchema = "m3d/query-key/v2";
 constexpr const char* kPathKeySchema = "m3d/path-key/v1";
 
-// Upper bound on decoded vector lengths (percentile vectors are 100 wide;
-// this is pure overread/OOM protection).
-constexpr std::uint64_t kMaxVecLen = 1u << 20;
+// Upper bound on decoded string lengths (pure overread/OOM protection).
 constexpr std::uint64_t kMaxStrLen = 1u << 20;
-// Bytes per wire flow record (id, src, dst: i32; size, arrival: i64; prio: u8).
-constexpr std::uint64_t kWireFlowBytes = 3 * 4 + 2 * 8 + 1;
-// Bytes per slot estimate (slot u32 + 4x100 pct doubles + 4 count doubles).
-constexpr std::uint64_t kSlotEstimateBytes =
-    4 + std::uint64_t{kNumOutputBuckets} * kNumPercentiles * 8 + kNumOutputBuckets * 8;
-// Minimum bytes per shard report (empty shard string: u64 len + 6 u32 + bool).
-constexpr std::uint64_t kMinShardReportBytes = 8 + 6 * 4 + 1;
-// Minimum bytes per shard health record (empty address: u64 len + 2 bools +
-// 7 u64 counters).
-constexpr std::uint64_t kMinShardHealthBytes = 8 + 2 + 7 * 8;
 
-class Writer {
- public:
-  // Every payload opens with the version tag.
-  Writer() { U32(kWireVersion); }
+// ----- field walkers -----
+//
+// Every payload struct declares its fields once, in wire order, as
+// `template <class IO> Status Fields(IO&, T&)` further down. Three walkers
+// share that list: Writer (encode), Reader (decode, which also applies each
+// field's decode-time rule) and KeyHasher (cache keys). Each offers the same
+// primitives: Scalar (a fixed-width integer, enum or double, by bit
+// pattern, little-endian hosts), Bool (one byte, 0 or 1) and Str (u64
+// length + bytes).
 
-  void U8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(std::uint32_t v) { Raw(&v, 4); }
-  void U64(std::uint64_t v) { Raw(&v, 8); }
-  void I32(std::int32_t v) { U32(static_cast<std::uint32_t>(v)); }
-  void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
-  void Bool(bool v) { U8(v ? 1 : 0); }
-  void F64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, 8);
-    U64(bits);
-  }
-  void Str(const std::string& s) {
-    U64(s.size());
-    out_.append(s);
-  }
-  void VecF64(const std::vector<double>& v) {
-    U64(v.size());
-    for (double d : v) F64(d);
-  }
-  std::string Take() { return std::move(out_); }
+// Emits fields into a byte sink: a payload string or a Hasher. Emitting
+// never fails; the Status return only matches the Reader's.
+template <class Sink>
+struct Emitter {
+  static constexpr bool kDecoding = false;
 
- private:
-  void Raw(const void* p, std::size_t n) {
-    out_.append(static_cast<const char*>(p), n);  // little-endian hosts
+  template <class T>
+  Status Scalar(const T& v) {
+    sink.Bytes(&v, sizeof v);
+    return Status::Ok();
   }
-  std::string out_;
+  Status Bool(bool v) { return Scalar(static_cast<std::uint8_t>(v ? 1 : 0)); }
+  Status Str(const std::string& s) {
+    Scalar(static_cast<std::uint64_t>(s.size()));
+    sink.Bytes(s.data(), s.size());
+    return Status::Ok();
+  }
+
+  Sink sink;
 };
+
+struct StringSink {
+  void Bytes(const void* p, std::size_t n) { out.append(static_cast<const char*>(p), n); }
+  std::string out;
+};
+
+using Writer = Emitter<StringSink>;
+using KeyHasher = Emitter<Hasher>;
 
 class Reader {
  public:
+  static constexpr bool kDecoding = true;
+
   explicit Reader(const std::string& s) : s_(s) {}
 
-  Status U8(std::uint8_t* v) {
-    M3_RETURN_IF_ERROR(Need(1));
-    *v = static_cast<std::uint8_t>(s_[pos_++]);
+  template <class T>
+  Status Scalar(T& v) {
+    if (sizeof v > remaining()) return Truncated(sizeof v);
+    std::memcpy(&v, s_.data() + pos_, sizeof v);
+    pos_ += sizeof v;
     return Status::Ok();
   }
-  Status U32(std::uint32_t* v) { return Raw(v, 4); }
-  Status U64(std::uint64_t* v) { return Raw(v, 8); }
-  Status I32(std::int32_t* v) { return Raw(v, 4); }
-  Status I64(std::int64_t* v) { return Raw(v, 8); }
-  Status Bool(bool* v) {
-    std::uint8_t b;
-    M3_RETURN_IF_ERROR(U8(&b));
+  Status Bool(bool& v) {
+    std::uint8_t b = 0;
+    M3_RETURN_IF_ERROR(Scalar(b));
     if (b > 1) return Status::InvalidArgument("wire: bool byte " + std::to_string(b));
-    *v = b != 0;
+    v = b != 0;
     return Status::Ok();
   }
-  Status F64(double* v) {
-    std::uint64_t bits;
-    M3_RETURN_IF_ERROR(U64(&bits));
-    std::memcpy(v, &bits, 8);
-    return Status::Ok();
-  }
-  Status Str(std::string* v) {
-    std::uint64_t len;
-    M3_RETURN_IF_ERROR(U64(&len));
+  Status Str(std::string& v) {
+    std::uint64_t len = 0;
+    M3_RETURN_IF_ERROR(Scalar(len));
     if (len > kMaxStrLen) {
       return Status::InvalidArgument("wire: string length " + std::to_string(len));
     }
     M3_RETURN_IF_ERROR(Need(len));
-    v->assign(s_, pos_, static_cast<std::size_t>(len));
+    v.assign(s_, pos_, static_cast<std::size_t>(len));
     pos_ += static_cast<std::size_t>(len);
     return Status::Ok();
   }
-  Status VecF64(std::vector<double>* v) {
-    std::uint64_t len;
-    M3_RETURN_IF_ERROR(U64(&len));
-    if (len > kMaxVecLen) {
-      return Status::InvalidArgument("wire: vector length " + std::to_string(len));
-    }
-    M3_RETURN_IF_ERROR(Need(len * 8));
-    v->resize(static_cast<std::size_t>(len));
-    for (double& d : *v) M3_RETURN_IF_ERROR(F64(&d));
-    return Status::Ok();
-  }
 
+  Status Need(std::uint64_t n) const { return n > remaining() ? Truncated(n) : Status::Ok(); }
   std::size_t remaining() const { return s_.size() - pos_; }
 
   Status ExpectEnd() const {
@@ -120,663 +99,378 @@ class Reader {
   }
 
  private:
-  Status Need(std::uint64_t n) const {
-    if (n > remaining()) {
-      return Status::DataLoss("wire: truncated message (need " + std::to_string(n) +
-                              " bytes at offset " + std::to_string(pos_) + ", have " +
-                              std::to_string(remaining()) + ")");
-    }
-    return Status::Ok();
-  }
-  Status Raw(void* p, std::size_t n) {
-    M3_RETURN_IF_ERROR(Need(n));
-    std::memcpy(p, s_.data() + pos_, n);
-    pos_ += n;
-    return Status::Ok();
+  // Kept out of line so the per-field fast path is small enough to inline.
+  [[gnu::cold, gnu::noinline]] Status Truncated(std::uint64_t n) const {
+    return Status::DataLoss("wire: truncated message (need " + std::to_string(n) +
+                            " bytes at offset " + std::to_string(pos_) + ", have " +
+                            std::to_string(remaining()) + ")");
   }
 
   const std::string& s_;
   std::size_t pos_ = 0;
 };
 
-// Reads the leading version tag; anything but kWireVersion is rejected.
-Status ReadVersion(Reader& r) {
-  std::uint32_t v;
-  M3_RETURN_IF_ERROR(r.U32(&v));
-  if (v != kWireVersion) {
-    return Status::InvalidArgument("wire: protocol version " + std::to_string(v) +
+// ----- field kinds that carry a decode-time rule -----
+
+// An unsigned code below `limit`; anything else is "wire: <what> <value>".
+template <class T>
+struct Below {
+  T& v;
+  unsigned limit;
+  const char* what;
+};
+
+// A u64 count, then that many T records. A count larger than the remaining
+// payload could hold is refused before anything is allocated.
+template <class T>
+struct Records {
+  std::vector<T>& v;
+  const char* what;
+};
+
+// A percentile vector: empty, or exactly kNumPercentiles values (the only
+// widths AggregateBuckets/CombineBuckets produce; readers index up to p100).
+struct Percentiles {
+  std::vector<double>& v;
+};
+
+template <class T>
+constexpr bool kIsFixedArray = std::is_array_v<T>;
+template <class T, std::size_t N>
+constexpr bool kIsFixedArray<std::array<T, N>> = true;
+
+// One field, dispatched on its type; structs walk their own Fields list.
+template <class IO, class T>
+Status Field(IO& io, T& v) {
+  using U = std::remove_const_t<T>;
+  if constexpr (std::is_same_v<U, bool>) {
+    return io.Bool(v);
+  } else if constexpr (std::is_arithmetic_v<U> || std::is_enum_v<U>) {
+    return io.Scalar(v);
+  } else if constexpr (std::is_same_v<U, std::string>) {
+    return io.Str(v);
+  } else if constexpr (kIsFixedArray<U>) {
+    for (auto& e : v) M3_RETURN_IF_ERROR(Field(io, e));
+    return Status::Ok();
+  } else {
+    return Fields(io, v);
+  }
+}
+
+// The fields in order; the first error stops the walk.
+template <class IO, class F, class... Fs>
+Status Seq(IO& io, F&& f, Fs&&... fs) {
+  M3_RETURN_IF_ERROR(Field(io, f));
+  if constexpr (sizeof...(fs) == 0) {
+    return Status::Ok();
+  } else {
+    return Seq(io, fs...);
+  }
+}
+
+// Encoded size of a default T: the fewest bytes one T record can take
+// (empty strings and lists), which bounds a decoded record count.
+template <class T>
+std::uint64_t MinBytes() {
+  static const std::uint64_t bytes = [] {
+    Writer w;
+    T t{};
+    (void)Field(w, t);
+    return w.sink.out.size();
+  }();
+  return bytes;
+}
+
+template <class IO, class T>
+Status Field(IO& io, Below<T> f) {
+  M3_RETURN_IF_ERROR(io.Scalar(f.v));
+  if constexpr (IO::kDecoding) {
+    const auto raw = static_cast<unsigned>(f.v);
+    if (raw >= f.limit) {
+      return Status::InvalidArgument(std::string("wire: ") + f.what + " " + std::to_string(raw));
+    }
+  }
+  return Status::Ok();
+}
+
+template <class IO, class T>
+Status Field(IO& io, Records<T> f) {
+  std::uint64_t n = f.v.size();
+  M3_RETURN_IF_ERROR(io.Scalar(n));
+  if constexpr (IO::kDecoding) {
+    // Division form: `n * record size` can wrap for a hostile 64-bit count,
+    // which would let the resize below throw past the bounds check.
+    if (n > io.remaining() / MinBytes<T>()) {
+      return Status::DataLoss(std::string("wire: ") + f.what + " " + std::to_string(n) +
+                              " exceeds the remaining payload");
+    }
+    f.v.resize(static_cast<std::size_t>(n));
+  }
+  for (T& e : f.v) M3_RETURN_IF_ERROR(Field(io, e));
+  return Status::Ok();
+}
+
+template <class IO>
+Status Field(IO& io, Percentiles f) {
+  std::uint64_t n = f.v.size();
+  M3_RETURN_IF_ERROR(io.Scalar(n));
+  if constexpr (IO::kDecoding) {
+    if (n != 0 && n != kNumPercentiles) {
+      return Status::InvalidArgument("wire: percentile vector length " + std::to_string(n));
+    }
+    M3_RETURN_IF_ERROR(io.Need(n * sizeof(double)));
+    f.v.resize(static_cast<std::size_t>(n));
+  }
+  for (double& d : f.v) M3_RETURN_IF_ERROR(io.Scalar(d));
+  return Status::Ok();
+}
+
+// ----- the field lists -----
+
+template <class IO>
+Status Fields(IO& io, NetConfig& c) {
+  return Seq(io, Below<CcType>{c.cc, kNumCcTypes, "cc protocol"}, c.init_window, c.buffer,
+             c.pfc, c.dctcp_k, c.dcqcn_kmin, c.dcqcn_kmax, c.hpcc_eta, c.hpcc_rate_ai_gbps,
+             c.timely_tlow, c.timely_thigh, c.mtu, c.hdr, c.seed);
+}
+
+template <class IO>
+Status Fields(IO& io, WireTopo& t) {
+  return Seq(io, t.pods, t.racks_per_pod, t.hosts_per_rack, t.fabric_per_pod,
+             t.spines_per_plane);
+}
+
+template <class IO>
+Status Fields(IO& io, WireFlow& f) {
+  return Seq(io, f.id, f.src_host, f.dst_host, f.size, f.arrival, f.priority);
+}
+
+template <class IO>
+Status Fields(IO& io, PathEstimate& pe) {
+  return Seq(io, pe.pct, pe.counts);
+}
+
+// Code, then message; the code is range-checked once both are read.
+template <class IO>
+Status Fields(IO& io, Status& st) {
+  std::int32_t code = static_cast<std::int32_t>(st.code());
+  M3_RETURN_IF_ERROR(io.Scalar(code));
+  if constexpr (!IO::kDecoding) {
+    return io.Str(st.message());
+  } else {
+    std::string msg;
+    M3_RETURN_IF_ERROR(io.Str(msg));
+    if (code < 0 || code >= kNumStatusCodes) {
+      return Status::InvalidArgument("wire: status code " + std::to_string(code));
+    }
+    st = Status(static_cast<StatusCode>(code), std::move(msg));
+    return Status::Ok();
+  }
+}
+
+template <class IO>
+Status Fields(IO& io, DegradationReport& d) {
+  return Seq(io, d.paths_ok, d.paths_cached, d.paths_retried, d.paths_degraded, d.paths_dropped,
+             d.errors_exception, d.errors_nonfinite, d.errors_deadline, d.errors_validation,
+             d.clamped_values, d.first_error, d.brownout_level, d.paths_brownout);
+}
+
+template <class IO>
+Status Fields(IO& io, ShardReportWire& s) {
+  return Seq(io, s.shard, s.slots_assigned, s.slots_ok, s.slots_fallback, s.slots_dropped,
+             s.retries, s.hedges, s.breaker_open);
+}
+
+template <class IO>
+Status Fields(IO& io, ShardHealthWire& s) {
+  return Seq(io, s.address, s.healthy, s.breaker_open, s.model_version, s.dispatches,
+             s.failures, s.retries, s.hedges, s.slots_fallback, s.slots_dropped);
+}
+
+template <class IO>
+Status Fields(IO& io, ServerStatsWire& s) {
+  return Seq(io, s.queries_received, s.queries_ok, s.queries_rejected, s.queries_failed,
+             s.query_cache, s.path_cache, s.queue_depth, s.queue_capacity, s.workers,
+             s.model_version, s.model_crc, s.reloads_ok, s.reloads_failed, s.model_path,
+             s.worker_mode, s.workers_configured, s.workers_alive, s.worker_spawns,
+             s.worker_restarts, s.worker_crashes, s.watchdog_kills, s.garbage_replies,
+             s.crash_retried_queries, s.breaker_trips, s.breaker_open, s.quarantined_digests,
+             s.router_mode, Records<ShardHealthWire>{s.shards, "shard health count"},
+             s.queries_shed, s.shed_by_reason, s.brownout_queries, s.brownout_level,
+             s.in_flight_cost, s.cost_budget, s.persist_enabled, s.persist_segments_loaded,
+             s.persist_entries_loaded, s.persist_entries_flushed, s.persist_records_corrupt,
+             s.persist_digest_dropped, s.persist_flush_backlog);
+}
+
+template <class IO>
+Status Fields(IO& io, QueryRequest& q) {
+  return Seq(io, q.oversub, q.topo, q.cfg, q.num_paths, q.seed, q.use_context, q.strict,
+             q.deadline_seconds, q.max_attempts, q.no_cache,
+             Below<std::uint8_t>{q.priority, kNumPriorityClasses, "priority class"},
+             Below<std::uint8_t>{q.brownout, 3, "brownout level"},
+             Records<WireFlow>{q.flows, "flow count"});
+}
+
+template <class IO>
+Status Fields(IO& io, QueryResponse& r) {
+  M3_RETURN_IF_ERROR(Field(io, r.status));
+  for (auto& pct : r.bucket_pct) M3_RETURN_IF_ERROR(Field(io, Percentiles{pct}));
+  return Seq(io, r.total_counts, Percentiles{r.combined_pct}, r.wall_seconds, r.degradation,
+             r.model_version, r.model_crc, r.query_cache_hit,
+             Below<std::uint8_t>{r.shed_reason, kNumShedReasons, "shed reason"},
+             Records<ShardReportWire>{r.shards, "shard report count"}, r.stats);
+}
+
+template <class IO>
+Status Fields(IO& io, ReloadRequest& r) {
+  return Field(io, r.checkpoint_path);
+}
+
+template <class IO>
+Status Fields(IO& io, ReloadResponse& r) {
+  return Seq(io, r.status, r.model_version, r.model_crc);
+}
+
+template <class IO>
+Status Fields(IO& io, PingResponse& p) {
+  return Seq(io, p.ready, p.worker_mode, p.model_version, p.workers_alive, p.router_mode,
+             p.shards_healthy, p.shards_total, p.model_crc);
+}
+
+// The embedded query travels as its own versioned payload inside a
+// length-prefixed blob, so the two codecs stay in lockstep by construction.
+template <class IO>
+Status Fields(IO& io, ShardQueryRequest& r) {
+  if constexpr (IO::kDecoding) {
+    std::string blob;
+    M3_RETURN_IF_ERROR(io.Str(blob));
+    StatusOr<QueryRequest> q = DecodeQueryRequest(blob);
+    if (!q.ok()) return q.status().Annotate("wire: embedded shard query");
+    r.query = std::move(*q);
+  } else {
+    M3_RETURN_IF_ERROR(io.Str(EncodeQueryRequest(r.query)));
+  }
+  return Field(io, Records<std::uint32_t>{r.slots, "slot count"});
+}
+
+template <class IO>
+Status Fields(IO& io, SlotEstimateWire& s) {
+  return Seq(io, s.slot, s.estimate);
+}
+
+template <class IO>
+Status Fields(IO& io, ShardQueryResponse& r) {
+  return Seq(io, r.status, r.degradation, r.model_version, r.model_crc, r.wall_seconds,
+             Records<SlotEstimateWire>{r.estimates, "estimate count"});
+}
+
+template <class IO>
+Status Fields(IO& io, RouterPathValue& v) {
+  return Seq(io, v.model_version, v.model_crc, v.estimate);
+}
+
+// Writer and KeyHasher only read the fields they walk.
+template <class T>
+T& Mut(const T& v) {
+  return const_cast<T&>(v);
+}
+
+// Every payload opens with the version tag.
+template <class... T>
+std::string Encode(const T&... msg) {
+  Writer w;
+  (void)Seq(w, kWireVersion, Mut(msg)...);
+  return std::move(w.sink.out);
+}
+
+template <class T>
+StatusOr<T> Decode(const std::string& payload) {
+  Reader r(payload);
+  std::uint32_t version = 0;
+  M3_RETURN_IF_ERROR(r.Scalar(version));
+  if (version != kWireVersion) {
+    return Status::InvalidArgument("wire: protocol version " + std::to_string(version) +
                                    " (this build speaks " + std::to_string(kWireVersion) + ")");
   }
-  return Status::Ok();
-}
-
-void EncodeNetConfig(Writer& w, const NetConfig& cfg) {
-  w.U8(static_cast<std::uint8_t>(cfg.cc));
-  w.I64(cfg.init_window);
-  w.I64(cfg.buffer);
-  w.Bool(cfg.pfc);
-  w.I64(cfg.dctcp_k);
-  w.I64(cfg.dcqcn_kmin);
-  w.I64(cfg.dcqcn_kmax);
-  w.F64(cfg.hpcc_eta);
-  w.F64(cfg.hpcc_rate_ai_gbps);
-  w.I64(cfg.timely_tlow);
-  w.I64(cfg.timely_thigh);
-  w.I64(cfg.mtu);
-  w.I64(cfg.hdr);
-  w.U64(cfg.seed);
-}
-
-Status DecodeNetConfig(Reader& r, NetConfig* cfg) {
-  std::uint8_t cc;
-  M3_RETURN_IF_ERROR(r.U8(&cc));
-  if (cc >= kNumCcTypes) {
-    return Status::InvalidArgument("wire: cc protocol " + std::to_string(cc));
-  }
-  cfg->cc = static_cast<CcType>(cc);
-  M3_RETURN_IF_ERROR(r.I64(&cfg->init_window));
-  M3_RETURN_IF_ERROR(r.I64(&cfg->buffer));
-  M3_RETURN_IF_ERROR(r.Bool(&cfg->pfc));
-  M3_RETURN_IF_ERROR(r.I64(&cfg->dctcp_k));
-  M3_RETURN_IF_ERROR(r.I64(&cfg->dcqcn_kmin));
-  M3_RETURN_IF_ERROR(r.I64(&cfg->dcqcn_kmax));
-  M3_RETURN_IF_ERROR(r.F64(&cfg->hpcc_eta));
-  M3_RETURN_IF_ERROR(r.F64(&cfg->hpcc_rate_ai_gbps));
-  M3_RETURN_IF_ERROR(r.I64(&cfg->timely_tlow));
-  M3_RETURN_IF_ERROR(r.I64(&cfg->timely_thigh));
-  M3_RETURN_IF_ERROR(r.I64(&cfg->mtu));
-  M3_RETURN_IF_ERROR(r.I64(&cfg->hdr));
-  M3_RETURN_IF_ERROR(r.U64(&cfg->seed));
-  return Status::Ok();
-}
-
-void HashNetConfig(Hasher& h, const NetConfig& cfg) {
-  h.U8(static_cast<std::uint8_t>(cfg.cc));
-  h.I64(cfg.init_window);
-  h.I64(cfg.buffer);
-  h.Bool(cfg.pfc);
-  h.I64(cfg.dctcp_k);
-  h.I64(cfg.dcqcn_kmin);
-  h.I64(cfg.dcqcn_kmax);
-  h.F64(cfg.hpcc_eta);
-  h.F64(cfg.hpcc_rate_ai_gbps);
-  h.I64(cfg.timely_tlow);
-  h.I64(cfg.timely_thigh);
-  h.I64(cfg.mtu);
-  h.I64(cfg.hdr);
-  h.U64(cfg.seed);
-}
-
-void EncodeTopo(Writer& w, const WireTopo& t) {
-  w.I32(t.pods);
-  w.I32(t.racks_per_pod);
-  w.I32(t.hosts_per_rack);
-  w.I32(t.fabric_per_pod);
-  w.I32(t.spines_per_plane);
-}
-
-Status DecodeTopo(Reader& r, WireTopo* t) {
-  M3_RETURN_IF_ERROR(r.I32(&t->pods));
-  M3_RETURN_IF_ERROR(r.I32(&t->racks_per_pod));
-  M3_RETURN_IF_ERROR(r.I32(&t->hosts_per_rack));
-  M3_RETURN_IF_ERROR(r.I32(&t->fabric_per_pod));
-  M3_RETURN_IF_ERROR(r.I32(&t->spines_per_plane));
-  return Status::Ok();
-}
-
-void EncodePathEstimate(Writer& w, const PathEstimate& pe) {
-  for (const auto& bucket : pe.pct) {
-    for (double v : bucket) w.F64(v);
-  }
-  for (double c : pe.counts) w.F64(c);
-}
-
-Status DecodePathEstimate(Reader& r, PathEstimate* pe) {
-  for (auto& bucket : pe->pct) {
-    for (double& v : bucket) M3_RETURN_IF_ERROR(r.F64(&v));
-  }
-  for (double& c : pe->counts) M3_RETURN_IF_ERROR(r.F64(&c));
-  return Status::Ok();
-}
-
-void EncodeShardReports(Writer& w, const std::vector<ShardReportWire>& shards) {
-  w.U64(shards.size());
-  for (const ShardReportWire& s : shards) {
-    w.Str(s.shard);
-    w.U32(s.slots_assigned);
-    w.U32(s.slots_ok);
-    w.U32(s.slots_fallback);
-    w.U32(s.slots_dropped);
-    w.U32(s.retries);
-    w.U32(s.hedges);
-    w.Bool(s.breaker_open);
-  }
-}
-
-Status DecodeShardReports(Reader& r, std::vector<ShardReportWire>* shards) {
-  std::uint64_t n;
-  M3_RETURN_IF_ERROR(r.U64(&n));
-  // Division form so a hostile 64-bit count cannot wrap past the check.
-  if (n > r.remaining() / kMinShardReportBytes) {
-    return Status::DataLoss("wire: shard report count " + std::to_string(n) +
-                            " exceeds the remaining payload");
-  }
-  shards->resize(static_cast<std::size_t>(n));
-  for (ShardReportWire& s : *shards) {
-    M3_RETURN_IF_ERROR(r.Str(&s.shard));
-    M3_RETURN_IF_ERROR(r.U32(&s.slots_assigned));
-    M3_RETURN_IF_ERROR(r.U32(&s.slots_ok));
-    M3_RETURN_IF_ERROR(r.U32(&s.slots_fallback));
-    M3_RETURN_IF_ERROR(r.U32(&s.slots_dropped));
-    M3_RETURN_IF_ERROR(r.U32(&s.retries));
-    M3_RETURN_IF_ERROR(r.U32(&s.hedges));
-    M3_RETURN_IF_ERROR(r.Bool(&s.breaker_open));
-  }
-  return Status::Ok();
-}
-
-void EncodeStatus(Writer& w, const Status& st) {
-  w.I32(static_cast<std::int32_t>(st.code()));
-  w.Str(st.message());
-}
-
-Status DecodeStatus(Reader& r, Status* st) {
-  std::int32_t code;
-  std::string msg;
-  M3_RETURN_IF_ERROR(r.I32(&code));
-  M3_RETURN_IF_ERROR(r.Str(&msg));
-  if (code < 0 || code >= kNumStatusCodes) {
-    return Status::InvalidArgument("wire: status code " + std::to_string(code));
-  }
-  *st = Status(static_cast<StatusCode>(code), std::move(msg));
-  return Status::Ok();
-}
-
-void EncodeDegradation(Writer& w, const DegradationReport& d) {
-  w.I32(d.paths_ok);
-  w.I32(d.paths_cached);
-  w.I32(d.paths_retried);
-  w.I32(d.paths_degraded);
-  w.I32(d.paths_dropped);
-  w.I32(d.errors_exception);
-  w.I32(d.errors_nonfinite);
-  w.I32(d.errors_deadline);
-  w.I32(d.errors_validation);
-  w.I64(d.clamped_values);
-  w.Str(d.first_error);
-  w.I32(d.brownout_level);
-  w.I32(d.paths_brownout);
-}
-
-Status DecodeDegradation(Reader& r, DegradationReport* d) {
-  M3_RETURN_IF_ERROR(r.I32(&d->paths_ok));
-  M3_RETURN_IF_ERROR(r.I32(&d->paths_cached));
-  M3_RETURN_IF_ERROR(r.I32(&d->paths_retried));
-  M3_RETURN_IF_ERROR(r.I32(&d->paths_degraded));
-  M3_RETURN_IF_ERROR(r.I32(&d->paths_dropped));
-  M3_RETURN_IF_ERROR(r.I32(&d->errors_exception));
-  M3_RETURN_IF_ERROR(r.I32(&d->errors_nonfinite));
-  M3_RETURN_IF_ERROR(r.I32(&d->errors_deadline));
-  M3_RETURN_IF_ERROR(r.I32(&d->errors_validation));
-  std::int64_t clamped = 0;  // DegradationReport uses `long long`
-  M3_RETURN_IF_ERROR(r.I64(&clamped));
-  d->clamped_values = clamped;
-  M3_RETURN_IF_ERROR(r.Str(&d->first_error));
-  M3_RETURN_IF_ERROR(r.I32(&d->brownout_level));
-  M3_RETURN_IF_ERROR(r.I32(&d->paths_brownout));
-  return Status::Ok();
-}
-
-void EncodeStatsBody(Writer& w, const ServerStatsWire& s) {
-  w.U64(s.queries_received);
-  w.U64(s.queries_ok);
-  w.U64(s.queries_rejected);
-  w.U64(s.queries_failed);
-  for (std::uint64_t v : s.query_cache) w.U64(v);
-  for (std::uint64_t v : s.path_cache) w.U64(v);
-  w.U32(s.queue_depth);
-  w.U32(s.queue_capacity);
-  w.U32(s.workers);
-  w.U64(s.model_version);
-  w.U32(s.model_crc);
-  w.U64(s.reloads_ok);
-  w.U64(s.reloads_failed);
-  w.Str(s.model_path);
-  w.Bool(s.worker_mode);
-  w.U32(s.workers_configured);
-  w.U32(s.workers_alive);
-  w.U64(s.worker_spawns);
-  w.U64(s.worker_restarts);
-  w.U64(s.worker_crashes);
-  w.U64(s.watchdog_kills);
-  w.U64(s.garbage_replies);
-  w.U64(s.crash_retried_queries);
-  w.U64(s.breaker_trips);
-  w.Bool(s.breaker_open);
-  w.U32(s.quarantined_digests);
-  w.Bool(s.router_mode);
-  w.U64(s.shards.size());
-  for (const ShardHealthWire& sh : s.shards) {
-    w.Str(sh.address);
-    w.Bool(sh.healthy);
-    w.Bool(sh.breaker_open);
-    w.U64(sh.model_version);
-    w.U64(sh.dispatches);
-    w.U64(sh.failures);
-    w.U64(sh.retries);
-    w.U64(sh.hedges);
-    w.U64(sh.slots_fallback);
-    w.U64(sh.slots_dropped);
-  }
-  w.U64(s.queries_shed);
-  for (std::uint64_t c : s.shed_by_reason) w.U64(c);
-  w.U64(s.brownout_queries);
-  w.U32(s.brownout_level);
-  w.F64(s.in_flight_cost);
-  w.F64(s.cost_budget);
-  w.Bool(s.persist_enabled);
-  w.U64(s.persist_segments_loaded);
-  w.U64(s.persist_entries_loaded);
-  w.U64(s.persist_entries_flushed);
-  w.U64(s.persist_records_corrupt);
-  w.U64(s.persist_digest_dropped);
-  w.U64(s.persist_flush_backlog);
-}
-
-Status DecodeStatsBody(Reader& r, ServerStatsWire* s) {
-  M3_RETURN_IF_ERROR(r.U64(&s->queries_received));
-  M3_RETURN_IF_ERROR(r.U64(&s->queries_ok));
-  M3_RETURN_IF_ERROR(r.U64(&s->queries_rejected));
-  M3_RETURN_IF_ERROR(r.U64(&s->queries_failed));
-  for (std::uint64_t& v : s->query_cache) M3_RETURN_IF_ERROR(r.U64(&v));
-  for (std::uint64_t& v : s->path_cache) M3_RETURN_IF_ERROR(r.U64(&v));
-  M3_RETURN_IF_ERROR(r.U32(&s->queue_depth));
-  M3_RETURN_IF_ERROR(r.U32(&s->queue_capacity));
-  M3_RETURN_IF_ERROR(r.U32(&s->workers));
-  M3_RETURN_IF_ERROR(r.U64(&s->model_version));
-  M3_RETURN_IF_ERROR(r.U32(&s->model_crc));
-  M3_RETURN_IF_ERROR(r.U64(&s->reloads_ok));
-  M3_RETURN_IF_ERROR(r.U64(&s->reloads_failed));
-  M3_RETURN_IF_ERROR(r.Str(&s->model_path));
-  M3_RETURN_IF_ERROR(r.Bool(&s->worker_mode));
-  M3_RETURN_IF_ERROR(r.U32(&s->workers_configured));
-  M3_RETURN_IF_ERROR(r.U32(&s->workers_alive));
-  M3_RETURN_IF_ERROR(r.U64(&s->worker_spawns));
-  M3_RETURN_IF_ERROR(r.U64(&s->worker_restarts));
-  M3_RETURN_IF_ERROR(r.U64(&s->worker_crashes));
-  M3_RETURN_IF_ERROR(r.U64(&s->watchdog_kills));
-  M3_RETURN_IF_ERROR(r.U64(&s->garbage_replies));
-  M3_RETURN_IF_ERROR(r.U64(&s->crash_retried_queries));
-  M3_RETURN_IF_ERROR(r.U64(&s->breaker_trips));
-  M3_RETURN_IF_ERROR(r.Bool(&s->breaker_open));
-  M3_RETURN_IF_ERROR(r.U32(&s->quarantined_digests));
-  M3_RETURN_IF_ERROR(r.Bool(&s->router_mode));
-  std::uint64_t n;
-  M3_RETURN_IF_ERROR(r.U64(&n));
-  if (n > r.remaining() / kMinShardHealthBytes) {
-    return Status::DataLoss("wire: shard health count " + std::to_string(n) +
-                            " exceeds the remaining payload");
-  }
-  s->shards.resize(static_cast<std::size_t>(n));
-  for (ShardHealthWire& sh : s->shards) {
-    M3_RETURN_IF_ERROR(r.Str(&sh.address));
-    M3_RETURN_IF_ERROR(r.Bool(&sh.healthy));
-    M3_RETURN_IF_ERROR(r.Bool(&sh.breaker_open));
-    M3_RETURN_IF_ERROR(r.U64(&sh.model_version));
-    M3_RETURN_IF_ERROR(r.U64(&sh.dispatches));
-    M3_RETURN_IF_ERROR(r.U64(&sh.failures));
-    M3_RETURN_IF_ERROR(r.U64(&sh.retries));
-    M3_RETURN_IF_ERROR(r.U64(&sh.hedges));
-    M3_RETURN_IF_ERROR(r.U64(&sh.slots_fallback));
-    M3_RETURN_IF_ERROR(r.U64(&sh.slots_dropped));
-  }
-  M3_RETURN_IF_ERROR(r.U64(&s->queries_shed));
-  for (std::uint64_t& c : s->shed_by_reason) M3_RETURN_IF_ERROR(r.U64(&c));
-  M3_RETURN_IF_ERROR(r.U64(&s->brownout_queries));
-  M3_RETURN_IF_ERROR(r.U32(&s->brownout_level));
-  M3_RETURN_IF_ERROR(r.F64(&s->in_flight_cost));
-  M3_RETURN_IF_ERROR(r.F64(&s->cost_budget));
-  M3_RETURN_IF_ERROR(r.Bool(&s->persist_enabled));
-  M3_RETURN_IF_ERROR(r.U64(&s->persist_segments_loaded));
-  M3_RETURN_IF_ERROR(r.U64(&s->persist_entries_loaded));
-  M3_RETURN_IF_ERROR(r.U64(&s->persist_entries_flushed));
-  M3_RETURN_IF_ERROR(r.U64(&s->persist_records_corrupt));
-  M3_RETURN_IF_ERROR(r.U64(&s->persist_digest_dropped));
-  M3_RETURN_IF_ERROR(r.U64(&s->persist_flush_backlog));
-  return Status::Ok();
+  T msg{};
+  M3_RETURN_IF_ERROR(Field(r, msg));
+  M3_RETURN_IF_ERROR(r.ExpectEnd());
+  return msg;
 }
 
 }  // namespace
 
-std::string EncodeQueryRequest(const QueryRequest& req) {
-  Writer w;
-  w.F64(req.oversub);
-  EncodeTopo(w, req.topo);
-  EncodeNetConfig(w, req.cfg);
-  w.I32(req.num_paths);
-  w.U64(req.seed);
-  w.Bool(req.use_context);
-  w.Bool(req.strict);
-  w.F64(req.deadline_seconds);
-  w.I32(req.max_attempts);
-  w.Bool(req.no_cache);
-  w.U8(req.priority);
-  w.U8(req.brownout);
-  w.U64(req.flows.size());
-  for (const WireFlow& f : req.flows) {
-    w.I32(f.id);
-    w.I32(f.src_host);
-    w.I32(f.dst_host);
-    w.I64(f.size);
-    w.I64(f.arrival);
-    w.U8(f.priority);
-  }
-  return w.Take();
-}
-
+std::string EncodeQueryRequest(const QueryRequest& req) { return Encode(req); }
 StatusOr<QueryRequest> DecodeQueryRequest(const std::string& payload) {
-  Reader r(payload);
-  QueryRequest req;
-  M3_RETURN_IF_ERROR(ReadVersion(r));
-  M3_RETURN_IF_ERROR(r.F64(&req.oversub));
-  M3_RETURN_IF_ERROR(DecodeTopo(r, &req.topo));
-  M3_RETURN_IF_ERROR(DecodeNetConfig(r, &req.cfg));
-  M3_RETURN_IF_ERROR(r.I32(&req.num_paths));
-  M3_RETURN_IF_ERROR(r.U64(&req.seed));
-  M3_RETURN_IF_ERROR(r.Bool(&req.use_context));
-  M3_RETURN_IF_ERROR(r.Bool(&req.strict));
-  M3_RETURN_IF_ERROR(r.F64(&req.deadline_seconds));
-  M3_RETURN_IF_ERROR(r.I32(&req.max_attempts));
-  M3_RETURN_IF_ERROR(r.Bool(&req.no_cache));
-  M3_RETURN_IF_ERROR(r.U8(&req.priority));
-  if (req.priority >= kNumPriorityClasses) {
-    return Status::InvalidArgument("wire: priority class " + std::to_string(req.priority));
-  }
-  M3_RETURN_IF_ERROR(r.U8(&req.brownout));
-  if (req.brownout > 2) {
-    return Status::InvalidArgument("wire: brownout level " + std::to_string(req.brownout));
-  }
-  std::uint64_t n;
-  M3_RETURN_IF_ERROR(r.U64(&n));
-  // Division form: `n * kWireFlowBytes` can wrap for a hostile 64-bit count
-  // (the record size is odd, so every product value is reachable mod 2^64),
-  // which would let the resize below throw past the bounds check.
-  if (n > r.remaining() / kWireFlowBytes) {
-    return Status::DataLoss("wire: flow count " + std::to_string(n) +
-                            " exceeds the remaining payload");
-  }
-  req.flows.resize(static_cast<std::size_t>(n));
-  for (WireFlow& f : req.flows) {
-    M3_RETURN_IF_ERROR(r.I32(&f.id));
-    M3_RETURN_IF_ERROR(r.I32(&f.src_host));
-    M3_RETURN_IF_ERROR(r.I32(&f.dst_host));
-    M3_RETURN_IF_ERROR(r.I64(&f.size));
-    M3_RETURN_IF_ERROR(r.I64(&f.arrival));
-    M3_RETURN_IF_ERROR(r.U8(&f.priority));
-  }
-  M3_RETURN_IF_ERROR(r.ExpectEnd());
-  return req;
+  return Decode<QueryRequest>(payload);
 }
 
-std::string EncodeQueryResponse(const QueryResponse& resp) {
-  Writer w;
-  EncodeStatus(w, resp.status);
-  for (const auto& pct : resp.bucket_pct) w.VecF64(pct);
-  for (double c : resp.total_counts) w.F64(c);
-  w.VecF64(resp.combined_pct);
-  w.F64(resp.wall_seconds);
-  EncodeDegradation(w, resp.degradation);
-  w.U64(resp.model_version);
-  w.U32(resp.model_crc);
-  w.Bool(resp.query_cache_hit);
-  w.U8(resp.shed_reason);
-  EncodeShardReports(w, resp.shards);
-  EncodeStatsBody(w, resp.stats);
-  return w.Take();
-}
-
+std::string EncodeQueryResponse(const QueryResponse& resp) { return Encode(resp); }
 StatusOr<QueryResponse> DecodeQueryResponse(const std::string& payload) {
-  Reader r(payload);
-  QueryResponse resp;
-  M3_RETURN_IF_ERROR(ReadVersion(r));
-  M3_RETURN_IF_ERROR(DecodeStatus(r, &resp.status));
-  for (auto& pct : resp.bucket_pct) M3_RETURN_IF_ERROR(r.VecF64(&pct));
-  for (double& c : resp.total_counts) M3_RETURN_IF_ERROR(r.F64(&c));
-  M3_RETURN_IF_ERROR(r.VecF64(&resp.combined_pct));
-  M3_RETURN_IF_ERROR(r.F64(&resp.wall_seconds));
-  M3_RETURN_IF_ERROR(DecodeDegradation(r, &resp.degradation));
-  M3_RETURN_IF_ERROR(r.U64(&resp.model_version));
-  M3_RETURN_IF_ERROR(r.U32(&resp.model_crc));
-  M3_RETURN_IF_ERROR(r.Bool(&resp.query_cache_hit));
-  M3_RETURN_IF_ERROR(r.U8(&resp.shed_reason));
-  if (resp.shed_reason >= kNumShedReasons) {
-    return Status::InvalidArgument("wire: shed reason " + std::to_string(resp.shed_reason));
-  }
-  M3_RETURN_IF_ERROR(DecodeShardReports(r, &resp.shards));
-  M3_RETURN_IF_ERROR(DecodeStatsBody(r, &resp.stats));
-  M3_RETURN_IF_ERROR(r.ExpectEnd());
-  return resp;
+  return Decode<QueryResponse>(payload);
 }
 
-std::string EncodeStatsRequest() {
-  Writer w;
-  return w.Take();
-}
+std::string EncodeStatsRequest() { return Encode(); }
 
-std::string EncodeStats(const ServerStatsWire& stats) {
-  Writer w;
-  EncodeStatsBody(w, stats);
-  return w.Take();
-}
-
+std::string EncodeStats(const ServerStatsWire& stats) { return Encode(stats); }
 StatusOr<ServerStatsWire> DecodeStats(const std::string& payload) {
-  Reader r(payload);
-  ServerStatsWire s;
-  M3_RETURN_IF_ERROR(ReadVersion(r));
-  M3_RETURN_IF_ERROR(DecodeStatsBody(r, &s));
-  M3_RETURN_IF_ERROR(r.ExpectEnd());
-  return s;
+  return Decode<ServerStatsWire>(payload);
 }
 
-std::string EncodeReloadRequest(const ReloadRequest& req) {
-  Writer w;
-  w.Str(req.checkpoint_path);
-  return w.Take();
-}
-
+std::string EncodeReloadRequest(const ReloadRequest& req) { return Encode(req); }
 StatusOr<ReloadRequest> DecodeReloadRequest(const std::string& payload) {
-  Reader r(payload);
-  ReloadRequest req;
-  M3_RETURN_IF_ERROR(ReadVersion(r));
-  M3_RETURN_IF_ERROR(r.Str(&req.checkpoint_path));
-  M3_RETURN_IF_ERROR(r.ExpectEnd());
-  return req;
+  return Decode<ReloadRequest>(payload);
 }
 
-std::string EncodeReloadResponse(const ReloadResponse& resp) {
-  Writer w;
-  EncodeStatus(w, resp.status);
-  w.U64(resp.model_version);
-  w.U32(resp.model_crc);
-  return w.Take();
-}
-
+std::string EncodeReloadResponse(const ReloadResponse& resp) { return Encode(resp); }
 StatusOr<ReloadResponse> DecodeReloadResponse(const std::string& payload) {
-  Reader r(payload);
-  ReloadResponse resp;
-  M3_RETURN_IF_ERROR(ReadVersion(r));
-  M3_RETURN_IF_ERROR(DecodeStatus(r, &resp.status));
-  M3_RETURN_IF_ERROR(r.U64(&resp.model_version));
-  M3_RETURN_IF_ERROR(r.U32(&resp.model_crc));
-  M3_RETURN_IF_ERROR(r.ExpectEnd());
-  return resp;
+  return Decode<ReloadResponse>(payload);
 }
 
-std::string EncodePingRequest() {
-  Writer w;
-  return w.Take();
-}
+std::string EncodePingRequest() { return Encode(); }
 
-std::string EncodePingResponse(const PingResponse& resp) {
-  Writer w;
-  w.Bool(resp.ready);
-  w.Bool(resp.worker_mode);
-  w.U64(resp.model_version);
-  w.U32(resp.workers_alive);
-  w.Bool(resp.router_mode);
-  w.U32(resp.shards_healthy);
-  w.U32(resp.shards_total);
-  w.U32(resp.model_crc);
-  return w.Take();
-}
-
+std::string EncodePingResponse(const PingResponse& resp) { return Encode(resp); }
 StatusOr<PingResponse> DecodePingResponse(const std::string& payload) {
-  Reader r(payload);
-  PingResponse resp;
-  M3_RETURN_IF_ERROR(ReadVersion(r));
-  M3_RETURN_IF_ERROR(r.Bool(&resp.ready));
-  M3_RETURN_IF_ERROR(r.Bool(&resp.worker_mode));
-  M3_RETURN_IF_ERROR(r.U64(&resp.model_version));
-  M3_RETURN_IF_ERROR(r.U32(&resp.workers_alive));
-  M3_RETURN_IF_ERROR(r.Bool(&resp.router_mode));
-  M3_RETURN_IF_ERROR(r.U32(&resp.shards_healthy));
-  M3_RETURN_IF_ERROR(r.U32(&resp.shards_total));
-  M3_RETURN_IF_ERROR(r.U32(&resp.model_crc));
-  M3_RETURN_IF_ERROR(r.ExpectEnd());
-  return resp;
+  return Decode<PingResponse>(payload);
 }
 
-std::string EncodeShardQueryRequest(const ShardQueryRequest& req) {
-  Writer w;
-  // The embedded query reuses its own codec (version tag and all) as a
-  // length-prefixed blob, so the two stay in lockstep by construction.
-  w.Str(EncodeQueryRequest(req.query));
-  w.U64(req.slots.size());
-  for (std::uint32_t s : req.slots) w.U32(s);
-  return w.Take();
-}
-
+std::string EncodeShardQueryRequest(const ShardQueryRequest& req) { return Encode(req); }
 StatusOr<ShardQueryRequest> DecodeShardQueryRequest(const std::string& payload) {
-  Reader r(payload);
-  ShardQueryRequest req;
-  M3_RETURN_IF_ERROR(ReadVersion(r));
-  std::string query_blob;
-  M3_RETURN_IF_ERROR(r.Str(&query_blob));
-  StatusOr<QueryRequest> q = DecodeQueryRequest(query_blob);
-  if (!q.ok()) return q.status().Annotate("wire: embedded shard query");
-  req.query = std::move(*q);
-  std::uint64_t n;
-  M3_RETURN_IF_ERROR(r.U64(&n));
-  if (n > r.remaining() / 4) {
-    return Status::DataLoss("wire: slot count " + std::to_string(n) +
-                            " exceeds the remaining payload");
-  }
-  req.slots.resize(static_cast<std::size_t>(n));
-  for (std::uint32_t& s : req.slots) M3_RETURN_IF_ERROR(r.U32(&s));
-  M3_RETURN_IF_ERROR(r.ExpectEnd());
-  return req;
+  return Decode<ShardQueryRequest>(payload);
 }
 
-std::string EncodeShardQueryResponse(const ShardQueryResponse& resp) {
-  Writer w;
-  EncodeStatus(w, resp.status);
-  EncodeDegradation(w, resp.degradation);
-  w.U64(resp.model_version);
-  w.U32(resp.model_crc);
-  w.F64(resp.wall_seconds);
-  w.U64(resp.estimates.size());
-  for (const SlotEstimateWire& se : resp.estimates) {
-    w.U32(se.slot);
-    EncodePathEstimate(w, se.estimate);
-  }
-  return w.Take();
-}
-
+std::string EncodeShardQueryResponse(const ShardQueryResponse& resp) { return Encode(resp); }
 StatusOr<ShardQueryResponse> DecodeShardQueryResponse(const std::string& payload) {
-  Reader r(payload);
-  ShardQueryResponse resp;
-  M3_RETURN_IF_ERROR(ReadVersion(r));
-  M3_RETURN_IF_ERROR(DecodeStatus(r, &resp.status));
-  M3_RETURN_IF_ERROR(DecodeDegradation(r, &resp.degradation));
-  M3_RETURN_IF_ERROR(r.U64(&resp.model_version));
-  M3_RETURN_IF_ERROR(r.U32(&resp.model_crc));
-  M3_RETURN_IF_ERROR(r.F64(&resp.wall_seconds));
-  std::uint64_t n;
-  M3_RETURN_IF_ERROR(r.U64(&n));
-  // Division form: the record size is fixed, so a hostile count that would
-  // wrap `n * kSlotEstimateBytes` fails here instead of in resize().
-  if (n > r.remaining() / kSlotEstimateBytes) {
-    return Status::DataLoss("wire: estimate count " + std::to_string(n) +
-                            " exceeds the remaining payload");
-  }
-  resp.estimates.resize(static_cast<std::size_t>(n));
-  for (SlotEstimateWire& se : resp.estimates) {
-    M3_RETURN_IF_ERROR(r.U32(&se.slot));
-    M3_RETURN_IF_ERROR(DecodePathEstimate(r, &se.estimate));
-  }
-  M3_RETURN_IF_ERROR(r.ExpectEnd());
-  return resp;
+  return Decode<ShardQueryResponse>(payload);
 }
 
-std::string EncodePathEstimateValue(const PathEstimate& pe) {
-  Writer w;
-  EncodePathEstimate(w, pe);
-  return w.Take();
-}
-
+std::string EncodePathEstimateValue(const PathEstimate& pe) { return Encode(pe); }
 StatusOr<PathEstimate> DecodePathEstimateValue(const std::string& payload) {
-  Reader r(payload);
-  M3_RETURN_IF_ERROR(ReadVersion(r));
-  PathEstimate pe{};
-  M3_RETURN_IF_ERROR(DecodePathEstimate(r, &pe));
-  M3_RETURN_IF_ERROR(r.ExpectEnd());
-  return pe;
+  return Decode<PathEstimate>(payload);
 }
 
-std::string EncodeRouterPathValue(const RouterPathValue& rv) {
-  Writer w;
-  w.U64(rv.model_version);
-  w.U32(rv.model_crc);
-  EncodePathEstimate(w, rv.estimate);
-  return w.Take();
-}
-
+std::string EncodeRouterPathValue(const RouterPathValue& v) { return Encode(v); }
 StatusOr<RouterPathValue> DecodeRouterPathValue(const std::string& payload) {
-  Reader r(payload);
-  M3_RETURN_IF_ERROR(ReadVersion(r));
-  RouterPathValue rv;
-  M3_RETURN_IF_ERROR(r.U64(&rv.model_version));
-  M3_RETURN_IF_ERROR(r.U32(&rv.model_crc));
-  M3_RETURN_IF_ERROR(DecodePathEstimate(r, &rv.estimate));
-  M3_RETURN_IF_ERROR(r.ExpectEnd());
-  return rv;
+  return Decode<RouterPathValue>(payload);
 }
 
 Hash128 QueryCacheKey(const QueryRequest& req, const Hash128& model_digest) {
-  Hasher h;
-  h.Str(kQueryKeySchema);
-  h.U64(model_digest.hi).U64(model_digest.lo);
-  h.Bool(req.use_context);
-  h.F64(req.oversub);
-  h.I32(req.topo.pods).I32(req.topo.racks_per_pod).I32(req.topo.hosts_per_rack);
-  h.I32(req.topo.fabric_per_pod).I32(req.topo.spines_per_plane);
-  HashNetConfig(h, req.cfg);
-  h.I32(req.num_paths);
-  h.U64(req.seed);
-  h.U64(req.flows.size());
-  for (const WireFlow& f : req.flows) {
-    h.I32(f.id).I32(f.src_host).I32(f.dst_host).I64(f.size).I64(f.arrival).U8(f.priority);
-  }
-  return h.Finish();
+  KeyHasher k;
+  k.sink.Str(kQueryKeySchema).U64(model_digest.hi).U64(model_digest.lo);
+  QueryRequest& q = Mut(req);
+  (void)Seq(k, q.use_context, q.oversub, q.topo, q.cfg, q.num_paths, q.seed,
+            Records<WireFlow>{q.flows, "flow count"});
+  return k.sink.Finish();
 }
 
 Hash128 PathCacheKey(const PathScenario& scenario, const NetConfig& cfg,
                      bool use_context, const Hash128& model_digest) {
-  Hasher h;
+  KeyHasher k;
+  Hasher& h = k.sink;
   h.Str(kPathKeySchema);
   h.U64(model_digest.hi).U64(model_digest.lo);
   h.Bool(use_context);
-  HashNetConfig(h, cfg);
+  (void)Field(k, Mut(cfg));
   h.I32(scenario.num_links);
   // Lot geometry: node/link numbering is deterministic in construction
   // order, so hashing every link pins rates, delays, and wiring.
@@ -795,7 +489,7 @@ Hash128 PathCacheKey(const PathScenario& scenario, const NetConfig& cfg,
     h.U64(f.path.size());
     for (LinkId l : f.path) h.I32(l);
   }
-  return h.Finish();
+  return k.sink.Finish();
 }
 
 }  // namespace m3::serve

@@ -8,7 +8,12 @@
 // gets a clean INVALID_ARGUMENT instead of a garbage parse. Every field is
 // required and decoding is fully bounds-checked: a truncated or hostile
 // payload yields kDataLoss / kInvalidArgument, never an overread and never
-// a decode with defaulted fields.
+// a decode with defaulted fields. Percentile vectors are empty or exactly
+// kNumPercentiles wide; any other width is kInvalidArgument.
+//
+// Each layout is declared once, as a field list in wire.cc; that one
+// declaration drives encode, decode (with each field's validation rule) and
+// the cache-key hashes below.
 //
 // Cache keys (the "content address" of a result) are also defined here so
 // the definition lives next to the serialized fields it must cover:

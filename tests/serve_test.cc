@@ -15,6 +15,7 @@
 #include <fstream>
 #include <functional>
 #include <future>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -203,11 +204,14 @@ ServerStatsWire FullStats() {
 QueryResponse SampleResponse() {
   QueryResponse resp;
   resp.status = Status::Degraded("1 of 4 paths degraded");
-  resp.bucket_pct[0] = {1.0, 2.5, 3.25};
-  resp.bucket_pct[3] = {7.5};
+  // Percentile vectors are empty or exactly kNumPercentiles wide on the wire.
+  for (int p = 0; p < kNumPercentiles; ++p) {
+    resp.bucket_pct[0].push_back(1.0 + 0.025 * p);
+    resp.bucket_pct[3].push_back(7.5 + p);
+    resp.combined_pct.push_back(1.0 + 0.0875 * p);
+  }
   resp.total_counts[0] = 12;
   resp.total_counts[3] = 4;
-  resp.combined_pct = {1.0, 1.5, 9.75};
   resp.wall_seconds = 0.125;
   resp.degradation.paths_ok = 3;
   resp.degradation.paths_degraded = 1;
@@ -292,17 +296,25 @@ TEST(Wire, StatsAndReloadRoundTrip) {
   EXPECT_EQ(rp->model_crc, 0x1234u);
 }
 
-// A fully populated sample of every wire message, with its decoder (none
-// for the ping and stats requests, whose bodies servers never decode).
+// A fully populated sample of every wire message, with its decoder and a
+// decode-then-re-encode round trip (neither for the ping and stats
+// requests, whose bodies servers never decode).
 struct WireSample {
   const char* name;
   std::string bytes;
   std::function<Status(const std::string&)> decode;
+  std::function<std::optional<std::string>(const std::string&)> reencode;
 };
 
 template <typename T>
-std::function<Status(const std::string&)> Decoder(StatusOr<T> (*decode)(const std::string&)) {
-  return [decode](const std::string& p) { return decode(p).status(); };
+WireSample Sample(const char* name, const T& msg, std::string (*encode)(const T&),
+                  StatusOr<T> (*decode)(const std::string&)) {
+  return {name, encode(msg), [decode](const std::string& p) { return decode(p).status(); },
+          [encode, decode](const std::string& p) -> std::optional<std::string> {
+            StatusOr<T> got = decode(p);
+            if (!got.ok()) return std::nullopt;
+            return encode(*got);
+          }};
 }
 
 std::vector<WireSample> WireSamples() {
@@ -323,25 +335,24 @@ std::vector<WireSample> WireSamples() {
   const RouterPathValue router_value{
       .model_version = 8, .model_crc = 0xabcdef, .estimate = SamplePathEstimate()};
   return {
-      {"query request", EncodeQueryRequest(req), Decoder(DecodeQueryRequest)},
-      {"query response", EncodeQueryResponse(SampleResponse()), Decoder(DecodeQueryResponse)},
-      {"stats request", EncodeStatsRequest(), nullptr},
-      {"stats", EncodeStats(FullStats()), Decoder(DecodeStats)},
-      {"reload request", EncodeReloadRequest({.checkpoint_path = "models/new.ckpt"}),
-       Decoder(DecodeReloadRequest)},
-      {"reload response",
-       EncodeReloadResponse(
-           {.status = Status::DataLoss("crc mismatch"), .model_version = 4, .model_crc = 0x1234}),
-       Decoder(DecodeReloadResponse)},
-      {"ping request", EncodePingRequest(), nullptr},
-      {"ping response", EncodePingResponse(SamplePing()), Decoder(DecodePingResponse)},
-      {"shard query request", EncodeShardQueryRequest(shard_req),
-       Decoder(DecodeShardQueryRequest)},
-      {"shard query response", EncodeShardQueryResponse(shard_resp),
-       Decoder(DecodeShardQueryResponse)},
-      {"path estimate value", EncodePathEstimateValue(SamplePathEstimate()),
-       Decoder(DecodePathEstimateValue)},
-      {"router path value", EncodeRouterPathValue(router_value), Decoder(DecodeRouterPathValue)},
+      Sample("query request", req, EncodeQueryRequest, DecodeQueryRequest),
+      Sample("query response", SampleResponse(), EncodeQueryResponse, DecodeQueryResponse),
+      {"stats request", EncodeStatsRequest(), nullptr, nullptr},
+      Sample("stats", FullStats(), EncodeStats, DecodeStats),
+      Sample("reload request", ReloadRequest{.checkpoint_path = "models/new.ckpt"},
+             EncodeReloadRequest, DecodeReloadRequest),
+      Sample("reload response",
+             ReloadResponse{.status = Status::DataLoss("crc mismatch"), .model_version = 4,
+                            .model_crc = 0x1234},
+             EncodeReloadResponse, DecodeReloadResponse),
+      {"ping request", EncodePingRequest(), nullptr, nullptr},
+      Sample("ping response", SamplePing(), EncodePingResponse, DecodePingResponse),
+      Sample("shard query request", shard_req, EncodeShardQueryRequest, DecodeShardQueryRequest),
+      Sample("shard query response", shard_resp, EncodeShardQueryResponse,
+             DecodeShardQueryResponse),
+      Sample("path estimate value", SamplePathEstimate(), EncodePathEstimateValue,
+             DecodePathEstimateValue),
+      Sample("router path value", router_value, EncodeRouterPathValue, DecodeRouterPathValue),
   };
 }
 
@@ -373,7 +384,7 @@ TEST(Wire, EncodingsMatchPinnedBytes) {
   };
   const Pin pins[] = {
       {"query request", 254, "5f2afbeec48354b0629e7ebc75605de8"},
-      {"query response", 790, "5b812bed5efced3bcb6b444397172574"},
+      {"query response", 3134, "78e353e9eefffa5052eacedfb9f59142"},
       {"stats request", 4, "b5d0f71112b155dfbd92ae95cfcc51cc"},
       {"stats", 473, "c0bf160fd3e1039a4c690a84ff0acf90"},
       {"reload request", 27, "57b5d5ae9f63bf3bdc3a39a971bd0fdf"},
@@ -422,6 +433,45 @@ TEST(Wire, WrappingFlowCountIsRejected) {
   std::memcpy(&payload[count_off], &inv, 8);
   const StatusOr<QueryRequest> got = DecodeQueryRequest(payload);
   EXPECT_EQ(got.status().code(), StatusCode::kDataLoss) << got.status().ToString();
+}
+
+TEST(Wire, AcceptedMutationsReencodeToTheSameBytes) {
+  // Canonical decoding: a decoder that normalizes a field, or reads fields
+  // in another order than the encoder writes them, accepts some mutated
+  // payload that then re-encodes to different bytes.
+  std::size_t accepted = 0;
+  for (const WireSample& m : WireSamples()) {
+    if (!m.reencode) continue;
+    std::size_t reported = 0;
+    for (std::size_t i = 0; i < m.bytes.size(); ++i) {
+      for (const unsigned char flip : {0x01, 0x02, 0x80, 0xff}) {
+        std::string mutated = m.bytes;
+        mutated[i] = static_cast<char>(static_cast<unsigned char>(mutated[i]) ^ flip);
+        const std::optional<std::string> again = m.reencode(mutated);
+        if (!again) continue;
+        ++accepted;
+        if (*again != mutated && reported++ == 0) {
+          ADD_FAILURE() << m.name << ": byte " << i << " ^ " << int{flip}
+                        << " decodes but re-encodes differently";
+        }
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+}
+
+TEST(Wire, PercentileVectorsAreEmptyOrFullWidth) {
+  // Readers index a percentile vector up to p100 whenever it is non-empty,
+  // so any other width is refused at decode time.
+  QueryResponse resp = SampleResponse();
+  resp.combined_pct = {1.0};
+  EXPECT_EQ(DecodeQueryResponse(EncodeQueryResponse(resp)).status().code(),
+            StatusCode::kInvalidArgument);
+  resp.combined_pct.clear();
+  EXPECT_TRUE(DecodeQueryResponse(EncodeQueryResponse(resp)).ok());
+  resp.bucket_pct[1].assign(kNumPercentiles + 1, 2.0);
+  EXPECT_EQ(DecodeQueryResponse(EncodeQueryResponse(resp)).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // -------------------------------------------------------------- cache keys --
@@ -521,6 +571,39 @@ TEST(CacheKey, PathKeySensitiveToScenarioContentNotSampling) {
   }
   EXPECT_NE(PathCacheKey(s0, cfg, false, digest), k0);
   EXPECT_NE(PathCacheKey(s0, cfg, true, HashBytes("n", 1)), k0);
+}
+
+TEST(CacheKey, KeysMatchPinnedHashes) {
+  // Persisted cache segments are addressed by these keys, so a key that
+  // drifts turns every warm restart cold without any error. The pins come
+  // from a known-good build; a deliberate change to a key's field set bumps
+  // its schema tag instead of re-pinning.
+  const Hash128 digest = HashBytes("model", 5);
+  QueryRequest req = SampleRequest();
+  EXPECT_EQ(QueryCacheKey(req, digest).ToHex(), "6e73bf25ea5ab5fda9f9f3a80f39d2a5");
+  req.topo = {2, 2, 4, 2, 2};
+  EXPECT_EQ(QueryCacheKey(req, digest).ToHex(), "e45bebace808d05a7ca967ad742bb546");
+
+  // Integer-only flows routed by the daemon's ECMP-on-id rule, so the
+  // scenario does not depend on floating-point workload sampling.
+  const FatTree ft(FatTreeConfig::Small(2.0));
+  const int hosts = ft.num_hosts();
+  std::vector<Flow> flows;
+  for (int i = 0; i < 32; ++i) {
+    const int src = (5 * i) % hosts;
+    const int dst = (src + 1 + (7 * i) % (hosts - 1)) % hosts;
+    Flow f;
+    f.id = i;
+    f.src = ft.host(src);
+    f.dst = ft.host(dst);
+    f.size = 1000 + 937 * i;
+    f.arrival = 250 * i;
+    f.path = ft.RouteBetween(src, dst, static_cast<std::uint64_t>(i));
+    flows.push_back(std::move(f));
+  }
+  const PathDecomposition decomp(ft.topo(), flows);
+  const PathScenario sc = BuildPathScenario(ft.topo(), flows, decomp, 0);
+  EXPECT_EQ(PathCacheKey(sc, SampleRequest().cfg, true, digest).ToHex(), "88e136c78a85b3162311a024f80bf66d");
 }
 
 // --------------------------------------------------------------------- LRU --

@@ -3,10 +3,11 @@
 # the checkpoint/trainer suites so the corruption-handling paths (truncated
 # files, bit flips, hostile length fields) are exercised under ASan, then a
 # UBSan build of the resilience suites so the fault-injection and validation
-# paths (injected throws, NaN forwards, malformed traces) are checked for
-# undefined behaviour under fault, then a ThreadSanitizer build of the
-# serving suites so hot-reload-under-load, the shared result caches, and the
-# scheduler/socket shutdown paths are checked for data races, and finally
+# paths (injected throws, NaN forwards, malformed traces, hostile wire
+# payloads) are checked for undefined behaviour under fault, then a
+# ThreadSanitizer build of the serving suites so hot-reload-under-load, the
+# shared result caches, and the scheduler/socket shutdown paths are checked
+# for data races, and finally
 # the chaos tier: the supervised-worker suites under ASan (fork + crash +
 # watchdog + breaker paths) plus a live mini-soak — a real m3d with 4
 # supervised workers serving m3_client load-gen while every worker is
@@ -65,7 +66,7 @@ echo "== UBSan: resilience / fault-injection suites =="
 cmake -B build-ubsan -S . -DM3_SANITIZE=undefined "$@"
 cmake --build build-ubsan -j"$JOBS" --target m3_tests
 ctest --test-dir build-ubsan --output-on-failure -j"$JOBS" \
-  -R 'Status|FaultRegistry|Validate|EstimatorResilience|AggregationGuard|CheckpointResilience|TraceIo'
+  -R 'Status|FaultRegistry|Validate|EstimatorResilience|AggregationGuard|CheckpointResilience|TraceIo|Wire\.|OverloadWire|ShardWire|CacheKey'
 
 echo "== TSan: serving / hot-reload / scheduler suites =="
 cmake -B build-tsan -S . -DM3_SANITIZE=thread "$@"

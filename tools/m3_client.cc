@@ -766,6 +766,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(est.model_version), est.model_crc,
               est.query_cache_hit ? " [cache hit]" : "", est.wall_seconds, a.paths);
 
+  // Decoding guarantees every percentile vector is empty or kNumPercentiles wide.
   const int pidx = std::min(99, std::max(0, static_cast<int>(a.percentile) - 1));
   const char* labels[4] = {"(0,1KB]", "(1KB,10KB]", "(10KB,50KB]", "(50KB,inf)"};
   std::printf("%-14s %10s %12s\n", "flow class", "#flows", "slowdown");
