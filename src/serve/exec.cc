@@ -50,8 +50,6 @@ FatTreeConfig ConfigForRequest(const QueryRequest& req) {
 
 }  // namespace
 
-TopoMemo::TopoMemo(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
-
 std::shared_ptr<const FatTree> TopoMemo::For(double oversub, const WireTopo& topo) {
   Key key;
   key.topo = topo;
@@ -70,7 +68,7 @@ std::shared_ptr<const FatTree> TopoMemo::For(double oversub, const WireTopo& top
   shape.oversub = oversub;
   shape.topo = topo;
   auto ft = std::make_shared<const FatTree>(ConfigForRequest(shape));
-  if (topos_.size() >= capacity_) topos_.erase(topos_.begin());
+  if (topos_.size() >= kCapacity) topos_.erase(topos_.begin());
   topos_.emplace_back(key, ft);
   return ft;
 }

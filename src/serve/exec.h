@@ -29,11 +29,12 @@ namespace m3::serve {
 /// Small LRU of immutable fat trees keyed by the request's topology terms:
 /// the oversubscription double's bit pattern — exactly the value off the
 /// wire — plus the explicit shape (all-zero for the default Small
-/// testbed). Bounded because both are client-supplied (any admissible bit
-/// pattern would otherwise grow the process without limit). Thread-safe.
+/// testbed). Real deployments use a handful of shapes; the memo is bounded
+/// because both terms are client-supplied (any admissible bit pattern would
+/// otherwise grow the process without limit). Thread-safe.
 class TopoMemo {
  public:
-  explicit TopoMemo(std::size_t capacity = 8);
+  static constexpr std::size_t kCapacity = 8;
 
   /// The fat tree for (oversub, shape), built on first use. A default
   /// (all-zero) shape means FatTreeConfig::Small(oversub).
@@ -49,7 +50,6 @@ class TopoMemo {
       return oversub_bits == o.oversub_bits && topo == o.topo;
     }
   };
-  const std::size_t capacity_;
   mutable std::mutex mu_;
   // back = most recently used.
   std::vector<std::pair<Key, std::shared_ptr<const FatTree>>> topos_;
@@ -70,7 +70,7 @@ struct ExecContext {
 /// Runs one query against one model snapshot on the calling thread:
 /// oversub/flow validation, ECMP route re-derivation, RunM3 with the
 /// request's options and (unless no_cache) the shared per-path cache.
-/// Fills every QueryResponse field except `stats` and `query_cache_hit`
+/// Fills every QueryResponse field except `query_cache_hit`
 /// (model_version/model_crc come from `snap`). Never throws.
 QueryResponse ExecuteQueryOnSnapshot(const QueryRequest& req, const ModelSnapshot& snap,
                                      const ExecContext& ctx);

@@ -39,9 +39,7 @@ bool HasWeight(const PathEstimate& pe) {
 }  // namespace
 
 Router::Router(const RouterOptions& opts)
-    : opts_(opts),
-      topos_(opts.topo_memo_entries),
-      path_cache_(opts.path_cache_entries, kCacheFaultSite) {}
+    : opts_(opts), path_cache_(opts.path_cache_entries, kCacheFaultSite) {}
 
 Router::~Router() { Stop(); }
 
@@ -305,7 +303,6 @@ QueryResponse Router::Query(const QueryRequest& req) {
     resp.degradation.first_error = st.ToString();
     resp.wall_seconds = Elapsed(t0);
     queries_failed_.fetch_add(1, std::memory_order_relaxed);
-    resp.stats = Stats();
     return resp;
   };
 
@@ -314,7 +311,6 @@ QueryResponse Router::Query(const QueryRequest& req) {
     if (!started_) {
       resp.status = Status::Unavailable("router not started");
       queries_failed_.fetch_add(1, std::memory_order_relaxed);
-      resp.stats = Stats();
       return resp;
     }
   }
@@ -438,7 +434,9 @@ QueryResponse Router::Query(const QueryRequest& req) {
     for (auto& [sh, slots] : groups) queue.push_back(Dispatch{sh, std::move(slots)});
   }
 
+  // Cache-served slots are ok paths, like a daemon's path-cache hits.
   DegradationReport rep;
+  rep.paths_ok += router_cache_hits;
   rep.paths_cached += router_cache_hits;
   std::string shard_error;  // first transport/infra failure, for annotation
   Status strict_abort;      // strict mode: a shard's own error aborts the query
@@ -468,13 +466,11 @@ QueryResponse Router::Query(const QueryRequest& req) {
     resp.shed_reason = static_cast<std::uint8_t>(ShedReason::kRouterBudget);
     resp.wall_seconds = Elapsed(t0);
     queries_shed_.fetch_add(1, std::memory_order_relaxed);
-    resp.stats = Stats();
     return resp;
   }
 
   // ---- scatter rounds: dispatch, then re-dispatch failures replica-wise ----
   int round = 0;
-  int retry_rounds = 0;
   while (!queue.empty() && strict_abort.ok()) {
     double window = opts_.shard_timeout_seconds > 0 ? opts_.shard_timeout_seconds : kInfSeconds;
     const double rem = remaining();
@@ -483,9 +479,6 @@ QueryResponse Router::Query(const QueryRequest& req) {
       break;
     }
     window = std::min(window, rem);
-    const bool hedged_round =
-        round == 0 && opts_.hedge_seconds > 0.0 && opts_.hedge_seconds < window;
-    if (hedged_round) window = opts_.hedge_seconds;
     const double recv_timeout = std::isfinite(window) ? window : 0.0;  // 0 = unbounded
 
     std::vector<StatusOr<ShardQueryResponse>> results(queue.size(),
@@ -513,12 +506,10 @@ QueryResponse Router::Query(const QueryRequest& req) {
     }
 
     std::map<int, std::vector<std::uint32_t>> next;
-    bool any_retry = false;
     for (std::size_t d = 0; d < queue.size() && strict_abort.ok(); ++d) {
       const Dispatch& disp = queue[d];
       Shard& s = *shards_[static_cast<std::size_t>(disp.shard)];
       bool reroute = false;
-      bool as_hedge = false;
       if (results[d].ok()) {
         ShardQueryResponse& r = *results[d];
         if (IsAnsweredCode(r.status.code())) {
@@ -590,16 +581,7 @@ QueryResponse Router::Query(const QueryRequest& req) {
           reroute = true;
         }
       } else {
-        // Transport-level failure. In a hedged first round a recv timeout
-        // is a *straggler*, not a fault: re-dispatch without charging the
-        // breaker (the shard may answer fine at the next query).
-        const bool straggler =
-            hedged_round && results[d].status().code() == StatusCode::kDeadlineExceeded;
-        if (straggler) {
-          as_hedge = true;
-        } else {
-          s.breaker.RecordFailure();
-        }
+        s.breaker.RecordFailure();  // transport-level failure
         if (shard_error.empty()) shard_error = results[d].status().ToString();
         reroute = true;
       }
@@ -620,26 +602,17 @@ QueryResponse Router::Query(const QueryRequest& req) {
           cursor[slot] = c;
           const int target = pref[slot][static_cast<std::size_t>(c)];
           next[target].push_back(slot);
-          Shard& ts = *shards_[static_cast<std::size_t>(target)];
-          if (as_hedge) {
-            ts.hedges.fetch_add(1, std::memory_order_relaxed);
-            report[static_cast<std::size_t>(target)].hedges++;
-          } else {
-            ts.retries.fetch_add(1, std::memory_order_relaxed);
-            report[static_cast<std::size_t>(target)].retries++;
-            any_retry = true;
-          }
+          shards_[static_cast<std::size_t>(target)]->retries.fetch_add(
+              1, std::memory_order_relaxed);
+          report[static_cast<std::size_t>(target)].retries++;
         }
       }
     }
     queue.clear();
     for (auto& [sh, slots] : next) queue.push_back(Dispatch{sh, std::move(slots)});
-    if (!queue.empty() && any_retry) {
-      // Exponential backoff before a retry round; hedge-only rounds fire
-      // immediately (the whole point of hedging is not to wait).
-      const double delay_ms =
-          std::min(1000.0, opts_.retry_backoff_ms * std::pow(2.0, retry_rounds));
-      ++retry_rounds;
+    if (!queue.empty()) {
+      // Exponential backoff before each retry round.
+      const double delay_ms = std::min(1000.0, opts_.retry_backoff_ms * std::pow(2.0, round));
       const double sleep_s = std::min(delay_ms / 1000.0, std::max(0.0, remaining()));
       if (sleep_s > 0) {
         std::this_thread::sleep_for(std::chrono::duration<double>(sleep_s));
@@ -729,7 +702,7 @@ QueryResponse Router::Query(const QueryRequest& req) {
   } else if (deadline_hit) {
     resp.status = Status::DeadlineExceeded("deadline of " + std::to_string(req.deadline_seconds) +
                                            "s expired; " + rep.ToString());
-    if (rep.paths_ok == 0 && rep.paths_cached == 0 && rep.paths_degraded == 0) {
+    if (rep.paths_ok == 0 && rep.paths_degraded == 0) {
       // Nothing was served before the budget ran out: this is a router
       // shed (typed, attributed), not a partially-degraded answer.
       resp.shed_reason = static_cast<std::uint8_t>(ShedReason::kRouterBudget);
@@ -744,7 +717,6 @@ QueryResponse Router::Query(const QueryRequest& req) {
     (IsAnsweredCode(resp.status.code()) ? queries_ok_ : queries_failed_)
         .fetch_add(1, std::memory_order_relaxed);
   }
-  resp.stats = Stats();
   return resp;
 }
 
@@ -785,7 +757,6 @@ ServerStatsWire Router::Stats() const {
     h.dispatches = s->dispatches.load(std::memory_order_relaxed);
     h.failures = s->failures.load(std::memory_order_relaxed);
     h.retries = s->retries.load(std::memory_order_relaxed);
-    h.hedges = s->hedges.load(std::memory_order_relaxed);
     h.slots_fallback = s->slots_fallback.load(std::memory_order_relaxed);
     h.slots_dropped = s->slots_dropped.load(std::memory_order_relaxed);
     if (h.healthy) mv = std::max(mv, h.model_version);

@@ -26,9 +26,6 @@
 //   retry ladder       — a failed sub-request re-dispatches each of its
 //                        slots to the slot's next distinct ring replica,
 //                        with exponential backoff between rounds.
-//   hedging (optional) — hedge_seconds > 0 bounds how long round 0 waits:
-//                        a straggler shard's slots are re-dispatched to the
-//                        next replica without charging its breaker.
 //   degradation ladder — slots no replica could serve fall back to a
 //                        router-side flowSim estimate (counted degraded),
 //                        then to a reweighted drop; the merged
@@ -68,15 +65,11 @@ struct RouterOptions {
   // query's own deadline, when tighter, wins.
   double shard_timeout_seconds = 30.0;
   double retry_backoff_ms = 25.0;  // doubled per retry round
-  // > 0: round 0 waits only this long before re-dispatching a straggler's
-  // slots to the next replica (no breaker charge). 0 disables hedging.
-  double hedge_seconds = 0.0;
   double health_interval_seconds = 0.5;
   ShardBreakerOptions breaker;
   // Thread width for placement-key hashing and the flowSim fallback
   // (M3Options::num_threads semantics; 0 = hardware).
   unsigned fallback_threads = 0;
-  std::size_t topo_memo_entries = 8;
   // Idle connections kept per shard between queries.
   std::size_t pool_per_shard = 4;
   // Router-side per-path result cache: merged slot estimates keyed by the
@@ -139,7 +132,6 @@ class Router {
     std::atomic<std::uint64_t> dispatches{0};
     std::atomic<std::uint64_t> failures{0};
     std::atomic<std::uint64_t> retries{0};
-    std::atomic<std::uint64_t> hedges{0};
     std::atomic<std::uint64_t> slots_fallback{0};
     std::atomic<std::uint64_t> slots_dropped{0};
     std::mutex pool_mu;
@@ -155,7 +147,7 @@ class Router {
   /// a recv timeout never does (the shard may be mid-compute — resending
   /// would double the work). Updates dispatches/failures and the healthy
   /// flag on connect-level failures; breaker accounting stays with the
-  /// caller (a hedge timeout must not charge it).
+  /// caller.
   StatusOr<ShardQueryResponse> CallShard(Shard& s, const std::string& payload,
                                          double recv_timeout_seconds);
 

@@ -18,9 +18,9 @@ ServerHooks ServiceHooks(EstimationService& service) {
   h.reload = [&service](const ReloadRequest& req) {
     ReloadResponse resp;
     resp.status = service.ReloadModel(req.checkpoint_path);
-    const ServerStatsWire stats = service.Stats();
-    resp.model_version = stats.model_version;
-    resp.model_crc = stats.model_crc;
+    const PingResponse now = service.Ping();
+    resp.model_version = now.model_version;
+    resp.model_crc = now.model_crc;
     return resp;
   };
   h.shard_query = [&service](const ShardQueryRequest& req) { return service.ExecuteShard(req); };
@@ -144,7 +144,6 @@ void SocketServer::ServeConnection(UnixFd fd, std::list<Conn>::iterator self) {
           QueryResponse resp;
           if (!req.ok()) {
             resp.status = req.status().Annotate("decoding query request");
-            if (hooks_.stats) resp.stats = hooks_.stats();
           } else if (!hooks_.query) {
             resp.status = Status::Unavailable("this daemon does not serve queries");
           } else {

@@ -15,11 +15,6 @@ namespace {
 // recompute (same answer, no reuse) rather than failing queries.
 constexpr const char* kCacheFaultSite = "serve/cache_lookup";
 
-// Distinct fat trees a daemon keeps alive at once. Real deployments use a
-// handful of oversubscription ratios; the bound exists because the ratio is
-// a client-supplied double (any bit pattern in range is admissible).
-constexpr std::size_t kTopoCacheEntries = 8;
-
 void CopyCacheStats(const CacheStats& in, std::uint64_t out[5]) {
   out[0] = in.hits;
   out[1] = in.misses;
@@ -34,8 +29,7 @@ EstimationService::EstimationService(const ServiceOptions& opts)
     : opts_(opts),
       registry_(opts.model_config),
       query_cache_(opts.query_cache_entries, kCacheFaultSite),
-      path_cache_(opts.path_cache_entries, kCacheFaultSite),
-      topos_(kTopoCacheEntries) {
+      path_cache_(opts.path_cache_entries, kCacheFaultSite) {
   cost_budget_ = opts_.cost_budget > 0
                      ? opts_.cost_budget
                      : static_cast<double>(opts_.queue_capacity +
@@ -43,12 +37,10 @@ EstimationService::EstimationService(const ServiceOptions& opts)
                                                std::max(1, opts_.num_workers))) *
                            128.0;
   if (opts_.worker_processes > 0) {
-    SupervisorOptions sopts = opts_.supervisor;
-    sopts.num_workers = opts_.worker_processes;
-    sopts.threads_per_query = opts_.threads_per_query;
-    sopts.path_cache_entries = opts_.path_cache_entries;
     supervisor_ = std::make_unique<WorkerSupervisor>(
-        sopts, [this] { return registry_.Current(); });
+        opts_.supervisor, opts_.worker_processes,
+        WorkerOptions{opts_.threads_per_query, opts_.path_cache_entries},
+        [this] { return registry_.Current(); });
     supervisor_->set_trip_callback([this](const Hash128& d) { OnBreakerTrip(d); });
   }
 }
@@ -305,7 +297,6 @@ void EstimationService::AnswerShed(Pending p, ShedReason reason) {
     resp.status = Status::ResourceExhausted(
         "shed: displaced by a higher-priority request");
   }
-  resp.stats = Stats();
   p.done(std::move(resp));
 }
 
@@ -378,7 +369,7 @@ Status EstimationService::Submit(QueryRequest req, DoneFn done,
   const int cls = std::min<int>(req.priority, kNumPriorityClasses - 1);
   req.priority = static_cast<std::uint8_t>(cls);
 
-  std::vector<Pending> shed;  // answered outside queue_mu_ (AnswerShed → Stats)
+  std::vector<Pending> shed;  // answered outside queue_mu_ (done callbacks)
   Status result = Status::Ok();
   ShedReason reason = ShedReason::kNone;
   bool displaced_victim = false;
@@ -477,7 +468,6 @@ QueryResponse EstimationService::Query(const QueryRequest& req) {
     QueryResponse resp;
     resp.status = st;
     resp.shed_reason = static_cast<std::uint8_t>(shed);
-    resp.stats = Stats();
     return resp;
   }
   return result.get();
@@ -523,7 +513,6 @@ QueryResponse EstimationService::Execute(const QueryRequest& req) {
     resp.status = Status::Unavailable(
         "no model loaded (start m3d with --model, or send a reload request)");
     queries_failed_.fetch_add(1, std::memory_order_relaxed);
-    resp.stats = Stats();
     return resp;
   }
   resp.model_version = snap->version;
@@ -538,7 +527,6 @@ QueryResponse EstimationService::Execute(const QueryRequest& req) {
         resp.model_crc = snap->param_crc;
         resp.query_cache_hit = true;
         queries_ok_.fetch_add(1, std::memory_order_relaxed);
-        resp.stats = Stats();
         return resp;
       }
     } catch (...) {
@@ -574,7 +562,7 @@ QueryResponse EstimationService::Execute(const QueryRequest& req) {
   // pinning the *old* snapshot may answer, and its result must not be
   // cached under the new digest's key.
   if (resp.status.ok() && !req.no_cache && resp.model_version == snap->version) {
-    QueryResponse cached = resp;  // stats/hit-flag fields stay default
+    QueryResponse cached = resp;  // the hit flag stays default
     // Encode before the move; Insert's return gates the spill so refreshes
     // (and recovered entries) are never written twice.
     std::string blob;
@@ -585,7 +573,6 @@ QueryResponse EstimationService::Execute(const QueryRequest& req) {
                           std::move(blob));
     }
   }
-  resp.stats = Stats();
   return resp;
 }
 

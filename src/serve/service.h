@@ -63,8 +63,8 @@ struct ServiceOptions {
   // Fault-free answers are bitwise identical either way (both run
   // serve/exec.h on the same snapshot).
   int worker_processes = 0;
-  // Supervisor tuning for worker mode. num_workers / threads_per_query /
-  // path_cache_entries inside are overridden from the fields above.
+  // Supervisor tuning for worker mode. The pool size is worker_processes;
+  // each worker runs threads_per_query threads and a path_cache_entries LRU.
   SupervisorOptions supervisor;
 
   // ---- Overload control (DESIGN.md §13) ----
@@ -239,7 +239,7 @@ class EstimationService {
   void UpdateBrownoutLocked(double sojourn_seconds, bool escalate,
                             std::chrono::steady_clock::time_point now);
   /// Builds the typed response for a shed request and fires its done
-  /// callback. Must be called *without* queue_mu_ held (fills stats).
+  /// callback. Must be called *without* queue_mu_ held.
   void AnswerShed(Pending p, ShedReason reason);
   /// Circuit-breaker trip handler: rolls back to the last good snapshot
   /// when the freshly published model is the one killing workers.

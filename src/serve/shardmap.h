@@ -5,7 +5,7 @@
 // mapping is stable across router restarts and across routers pointed at
 // the same fleet); a key is owned by the first point clockwise from it.
 // Preference(key) walks further clockwise collecting *distinct* shards —
-// the retry/hedge order for that key. Adding or removing one shard moves
+// the retry order for that key. Adding or removing one shard moves
 // only the keys that shard owned (the property that makes a shard bounce
 // cheap: every other shard's path-cache working set is untouched).
 //
@@ -45,7 +45,7 @@ class HashRing {
 
   /// Up to `max_shards` distinct shards in clockwise order from `key`'s
   /// owner (0 = all shards). The owner is always first; this is the
-  /// dispatch order for the key's retries and hedges.
+  /// dispatch order for the key's retries.
   std::vector<int> Preference(const Hash128& key, std::size_t max_shards = 0) const;
 
  private:

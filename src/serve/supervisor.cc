@@ -19,11 +19,20 @@ using Clock = std::chrono::steady_clock;
 constexpr auto kReaperTick = std::chrono::milliseconds(10);
 // How long Stop() waits for workers to honor EOF before SIGKILL.
 constexpr int kStopGraceTicks = 50;  // x 10ms
+// Re-runs of a crashed query on a fresh worker.
+constexpr int kCrashRetries = 1;
 
 }  // namespace
 
-WorkerSupervisor::WorkerSupervisor(const SupervisorOptions& opts, SnapshotProvider provider)
-    : opts_(opts), provider_(std::move(provider)) {}
+WorkerSupervisor::WorkerSupervisor(const SupervisorOptions& opts, int num_workers,
+                                   const WorkerOptions& worker, SnapshotProvider provider)
+    : opts_(opts),
+      num_workers_(std::max(1, num_workers)),
+      worker_opts_(worker),
+      provider_(std::move(provider)),
+      // Pid-derived: every daemon in a fleet gets its own jitter stream even
+      // when launched from identical configs.
+      jitter_seed_(static_cast<std::uint64_t>(::getpid()) * 0x9e3779b97f4a7c15ull + 1) {}
 
 WorkerSupervisor::~WorkerSupervisor() { Stop(); }
 
@@ -55,12 +64,7 @@ Status WorkerSupervisor::Start() {
   running_ = true;
   stopping_ = false;
   generation_ = 1;
-  // Pid-derived default: every daemon in a fleet gets its own jitter
-  // stream even when launched from identical configs.
-  jitter_seed_ = opts_.backoff_jitter_seed != 0
-                     ? opts_.backoff_jitter_seed
-                     : static_cast<std::uint64_t>(::getpid()) * 0x9e3779b97f4a7c15ull + 1;
-  slots_ = std::vector<Slot>(static_cast<std::size_t>(std::max(1, opts_.num_workers)));
+  slots_ = std::vector<Slot>(static_cast<std::size_t>(num_workers_));
   const auto now = Clock::now();
   for (Slot& s : slots_) {
     s.respawn_at = now;
@@ -120,10 +124,6 @@ bool WorkerSupervisor::SpawnLocked(Slot& s) {
     return retry_later(std::chrono::milliseconds(opts_.backoff_initial_ms));
   }
 
-  WorkerOptions wopts;
-  wopts.threads_per_query = opts_.threads_per_query;
-  wopts.path_cache_entries = opts_.path_cache_entries;
-
   // Hold the fault-registry lock across fork(): another thread may be
   // inside a fault point, and the child must not inherit a mid-held mutex
   // it can never unlock (see FaultRegistry::AcquireForkLock).
@@ -135,7 +135,7 @@ bool WorkerSupervisor::SpawnLocked(Slot& s) {
     if (!opts_.worker_faults.empty()) {
       (void)FaultRegistry::Instance().ArmFromString(opts_.worker_faults);
     }
-    WorkerMain(child_end, *snap, wopts);
+    WorkerMain(child_end, *snap, worker_opts_);
     ::_exit(0);  // no unwinding/static destructors in a fork-no-exec child
   }
   FaultRegistry::Instance().ReleaseForkLock();
@@ -216,7 +216,7 @@ QueryResponse WorkerSupervisor::Execute(const QueryRequest& req) {
   const double budget = req.deadline_seconds > 0
                             ? req.deadline_seconds + opts_.grace_seconds
                             : opts_.default_watchdog_seconds;
-  int attempts_left = 1 + std::max(0, opts_.crash_retries);
+  int attempts_left = 1 + kCrashRetries;
   for (;;) {
     const int idx = LeaseWorker();
     if (idx < 0) {

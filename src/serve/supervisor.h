@@ -52,6 +52,7 @@
 
 #include "serve/registry.h"
 #include "serve/wire.h"
+#include "serve/worker.h"
 #include "util/hash.h"
 #include "util/socket.h"
 #include "util/status.h"
@@ -59,26 +60,20 @@
 namespace m3::serve {
 
 struct SupervisorOptions {
-  int num_workers = 2;
-  unsigned threads_per_query = 1;
-  std::size_t path_cache_entries = 4096;  // per worker (worker-local LRU)
   // Respawn backoff: delay after the k-th consecutive failure of one slot
   // is min(backoff_max_ms, backoff_initial_ms * 2^(k-1)), then scaled by a
-  // jitter factor in [0.5, 1.5) drawn deterministically from
-  // (backoff_jitter_seed, slot index, failure count). Without the jitter a
-  // fleet-wide crash puts every slot — and every daemon in a sharded fleet,
-  // since the schedule was identical everywhere — on the same respawn tick,
-  // thundering-herd style, against the model registry. Seed 0 (the
-  // default) derives a per-process seed from the pid so daemons decorrelate
-  // on their own; tests pin a nonzero seed for reproducible schedules.
+  // jitter factor in [0.5, 1.5) drawn deterministically from (a pid-derived
+  // seed, slot index, failure count). Without the jitter a fleet-wide crash
+  // puts every slot — and every daemon in a sharded fleet, since the
+  // schedule was identical everywhere — on the same respawn tick,
+  // thundering-herd style, against the model registry; the pid seed lets
+  // daemons decorrelate on their own.
   int backoff_initial_ms = 25;
   int backoff_max_ms = 2000;
-  std::uint64_t backoff_jitter_seed = 0;
   // Watchdog: a query with a deadline may run to deadline + grace before
   // its worker is SIGKILLed; a deadline-less query gets the default budget.
   double grace_seconds = 2.0;
   double default_watchdog_seconds = 120.0;
-  int crash_retries = 1;  // re-runs of a crashed query on a fresh worker
   // How long Execute() waits for a leasable worker before kUnavailable.
   double lease_timeout_seconds = 10.0;
   // Circuit breaker (see file comment).
@@ -113,7 +108,10 @@ class WorkerSupervisor {
   /// trips on `digest`.
   using TripCallback = std::function<void(const Hash128& digest)>;
 
-  WorkerSupervisor(const SupervisorOptions& opts, SnapshotProvider provider);
+  /// A pool of `num_workers` (>= 1) workers, each running `worker`'s
+  /// per-query thread width and path-cache size.
+  WorkerSupervisor(const SupervisorOptions& opts, int num_workers, const WorkerOptions& worker,
+                   SnapshotProvider provider);
   ~WorkerSupervisor();  // Stop()s if running
 
   WorkerSupervisor(const WorkerSupervisor&) = delete;
@@ -185,9 +183,11 @@ class WorkerSupervisor {
   int LeaseWorker();
 
   const SupervisorOptions opts_;
+  const int num_workers_;
+  const WorkerOptions worker_opts_;
   const SnapshotProvider provider_;
   TripCallback on_trip_;
-  std::uint64_t jitter_seed_ = 0;  // resolved in Start() (0 -> pid-derived)
+  const std::uint64_t jitter_seed_;
 
   mutable std::mutex mu_;
   std::condition_variable lease_cv_;  // signaled when a worker turns idle

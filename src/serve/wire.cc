@@ -1,7 +1,11 @@
 #include "serve/wire.h"
 
+#include <algorithm>
+#include <cstdarg>
+#include <cstdio>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 
 #include "pathdecomp/path_topology.h"
 
@@ -278,13 +282,13 @@ Status Fields(IO& io, DegradationReport& d) {
 template <class IO>
 Status Fields(IO& io, ShardReportWire& s) {
   return Seq(io, s.shard, s.slots_assigned, s.slots_ok, s.slots_fallback, s.slots_dropped,
-             s.retries, s.hedges, s.breaker_open);
+             s.retries, s.breaker_open);
 }
 
 template <class IO>
 Status Fields(IO& io, ShardHealthWire& s) {
   return Seq(io, s.address, s.healthy, s.breaker_open, s.model_version, s.dispatches,
-             s.failures, s.retries, s.hedges, s.slots_fallback, s.slots_dropped);
+             s.failures, s.retries, s.slots_fallback, s.slots_dropped);
 }
 
 template <class IO>
@@ -318,7 +322,7 @@ Status Fields(IO& io, QueryResponse& r) {
   return Seq(io, r.total_counts, Percentiles{r.combined_pct}, r.wall_seconds, r.degradation,
              r.model_version, r.model_crc, r.query_cache_hit,
              Below<std::uint8_t>{r.shed_reason, kNumShedReasons, "shed reason"},
-             Records<ShardReportWire>{r.shards, "shard report count"}, r.stats);
+             Records<ShardReportWire>{r.shards, "shard report count"});
 }
 
 template <class IO>
@@ -337,20 +341,9 @@ Status Fields(IO& io, PingResponse& p) {
              p.shards_healthy, p.shards_total, p.model_crc);
 }
 
-// The embedded query travels as its own versioned payload inside a
-// length-prefixed blob, so the two codecs stay in lockstep by construction.
 template <class IO>
 Status Fields(IO& io, ShardQueryRequest& r) {
-  if constexpr (IO::kDecoding) {
-    std::string blob;
-    M3_RETURN_IF_ERROR(io.Str(blob));
-    StatusOr<QueryRequest> q = DecodeQueryRequest(blob);
-    if (!q.ok()) return q.status().Annotate("wire: embedded shard query");
-    r.query = std::move(*q);
-  } else {
-    M3_RETURN_IF_ERROR(io.Str(EncodeQueryRequest(r.query)));
-  }
-  return Field(io, Records<std::uint32_t>{r.slots, "slot count"});
+  return Seq(io, r.query, Records<std::uint32_t>{r.slots, "slot count"});
 }
 
 template <class IO>
@@ -398,6 +391,23 @@ StatusOr<T> Decode(const std::string& payload) {
   return msg;
 }
 
+// Appends `prefix`, one printf-formatted line and a newline to `out`.
+[[gnu::format(printf, 3, 4)]] void AppendLine(std::string& out, const std::string& prefix,
+                                              const char* fmt, ...) {
+  va_list ap;
+  va_list again;
+  va_start(ap, fmt);
+  va_copy(again, ap);
+  const int n = std::max(0, std::vsnprintf(nullptr, 0, fmt, ap));
+  va_end(ap);
+  out += prefix;
+  const std::size_t at = out.size();
+  out.resize(at + static_cast<std::size_t>(n) + 1);  // + the NUL, then '\n'
+  std::vsnprintf(&out[at], static_cast<std::size_t>(n) + 1, fmt, again);
+  va_end(again);
+  out.back() = '\n';
+}
+
 }  // namespace
 
 std::string EncodeQueryRequest(const QueryRequest& req) { return Encode(req); }
@@ -415,6 +425,74 @@ std::string EncodeStatsRequest() { return Encode(); }
 std::string EncodeStats(const ServerStatsWire& stats) { return Encode(stats); }
 StatusOr<ServerStatsWire> DecodeStats(const std::string& payload) {
   return Decode<ServerStatsWire>(payload);
+}
+
+std::string FormatStats(const ServerStatsWire& s, const std::string& line_prefix) {
+  using ull = unsigned long long;
+  const std::string& p = line_prefix;
+  std::string out;
+  AppendLine(out, p, "model: %s (v%llu crc %08x), reloads %llu ok / %llu failed",
+             s.model_path.empty() ? "<none>" : s.model_path.c_str(), ull(s.model_version),
+             s.model_crc, ull(s.reloads_ok), ull(s.reloads_failed));
+  AppendLine(out, p,
+             "queries: %llu received, %llu ok, %llu rejected, %llu shed, %llu failed; "
+             "queue %u/%u, %u workers",
+             ull(s.queries_received), ull(s.queries_ok), ull(s.queries_rejected),
+             ull(s.queries_shed), ull(s.queries_failed), s.queue_depth, s.queue_capacity,
+             s.workers);
+  if (s.queries_rejected > 0 || s.queries_shed > 0 || s.brownout_queries > 0 ||
+      s.brownout_level > 0) {
+    AppendLine(out, p,
+               "overload: shed by reason — %llu queue-full, %llu priority, %llu expired, "
+               "%llu sojourn, %llu cost-budget, %llu router-budget",
+               ull(s.shed_by_reason[1]), ull(s.shed_by_reason[2]), ull(s.shed_by_reason[3]),
+               ull(s.shed_by_reason[4]), ull(s.shed_by_reason[5]), ull(s.shed_by_reason[6]));
+    AppendLine(out, p,
+               "overload: brownout level %u, %llu browned-out queries; "
+               "in-flight cost %.1f / %.1f budget",
+               s.brownout_level, ull(s.brownout_queries), s.in_flight_cost, s.cost_budget);
+  }
+  const std::pair<const char*, const std::uint64_t*> caches[] = {{"query", s.query_cache},
+                                                                 {" path", s.path_cache}};
+  for (const auto& [name, c] : caches) {
+    AppendLine(out, p,
+               "%s cache: %llu hits / %llu misses, %llu inserts, %llu evictions, %llu entries",
+               name, ull(c[0]), ull(c[1]), ull(c[2]), ull(c[3]), ull(c[4]));
+  }
+  if (s.persist_enabled) {
+    AppendLine(out, p, "persist: %llu segments loaded, %llu entries recovered",
+               ull(s.persist_segments_loaded), ull(s.persist_entries_loaded));
+    AppendLine(out, p, "persist: %llu entries flushed, %llu flush backlog",
+               ull(s.persist_entries_flushed), ull(s.persist_flush_backlog));
+    AppendLine(out, p, "persist: %llu corrupt records skipped, %llu digest-mismatch drops",
+               ull(s.persist_records_corrupt), ull(s.persist_digest_dropped));
+  }
+  if (s.worker_mode) {
+    AppendLine(out, p,
+               "worker pool: %u/%u alive; %llu spawns, %llu restarts, %llu crashes, "
+               "%llu watchdog kills, %llu garbage replies",
+               s.workers_alive, s.workers_configured, ull(s.worker_spawns),
+               ull(s.worker_restarts), ull(s.worker_crashes), ull(s.watchdog_kills),
+               ull(s.garbage_replies));
+    AppendLine(out, p,
+               "breaker: %llu trips, %u quarantined digest(s)%s; "
+               "%llu queries retried after a worker crash",
+               ull(s.breaker_trips), s.quarantined_digests, s.breaker_open ? " [OPEN]" : "",
+               ull(s.crash_retried_queries));
+  }
+  if (s.router_mode) {
+    AppendLine(out, p, "router: %zu shard(s)", s.shards.size());
+    for (const ShardHealthWire& sh : s.shards) {
+      AppendLine(out, p,
+                 "  %s — %s%s, model v%llu; %llu dispatches, %llu failures, %llu retries, "
+                 "%llu fallback slots, %llu dropped slots",
+                 sh.address.c_str(), sh.healthy ? "healthy" : "unhealthy",
+                 sh.breaker_open ? " [breaker open]" : "", ull(sh.model_version),
+                 ull(sh.dispatches), ull(sh.failures), ull(sh.retries),
+                 ull(sh.slots_fallback), ull(sh.slots_dropped));
+    }
+  }
+  return out;
 }
 
 std::string EncodeReloadRequest(const ReloadRequest& req) { return Encode(req); }

@@ -5,7 +5,10 @@
 // are fixed-width; doubles travel by bit pattern; strings and vectors are
 // u64-length-prefixed. Every payload starts with a u32 wire version, and
 // this build speaks exactly one, kWireVersion: a peer on any other version
-// gets a clean INVALID_ARGUMENT instead of a garbage parse. Every field is
+// gets a clean INVALID_ARGUMENT instead of a garbage parse. Messages nest
+// by value: a shard query embeds the client query's fields directly, so it
+// is bounded only by the frame cap, like the query itself. Serving
+// counters travel only in answer to kStatsRequest. Every field is
 // required and decoding is fully bounds-checked: a truncated or hostile
 // payload yields kDataLoss / kInvalidArgument, never an overread and never
 // a decode with defaulted fields. Percentile vectors are empty or exactly
@@ -53,7 +56,7 @@ namespace m3::serve {
 /// the current layout). Persisted cache values carry it too: after a bump,
 /// entries written by an older build fail to decode and are recomputed,
 /// never misread.
-constexpr std::uint32_t kWireVersion = 4;
+constexpr std::uint32_t kWireVersion = 5;
 
 /// Frame types (util/socket.h `type` field).
 enum class MsgType : std::uint32_t {
@@ -159,15 +162,15 @@ struct ShardHealthWire {
   bool healthy = false;            // last health probe succeeded
   bool breaker_open = false;
   std::uint64_t model_version = 0; // from the last successful probe
-  std::uint64_t dispatches = 0;    // sub-requests sent (incl. retries/hedges)
+  std::uint64_t dispatches = 0;    // sub-requests sent (incl. retries)
   std::uint64_t failures = 0;      // sub-requests that did not answer
   std::uint64_t retries = 0;       // re-dispatches after a failure
-  std::uint64_t hedges = 0;        // duplicate dispatches for stragglers
   std::uint64_t slots_fallback = 0;  // this shard's slots served by flowSim
   std::uint64_t slots_dropped = 0;   // this shard's slots reweighted away
 };
 
-/// Serving-side counters returned with every response and by kStatsRequest.
+/// Serving-side counters: the kStatsResponse payload (EstimationService::Stats,
+/// Router::Stats).
 struct ServerStatsWire {
   std::uint64_t queries_received = 0;
   std::uint64_t queries_ok = 0;        // includes degraded/deadline answers
@@ -230,7 +233,6 @@ struct ShardReportWire {
   std::uint32_t slots_fallback = 0; // router-side flowSim fallback
   std::uint32_t slots_dropped = 0;  // reweighted drop
   std::uint32_t retries = 0;        // re-dispatches for this query
-  std::uint32_t hedges = 0;         // hedged duplicates for this query
   bool breaker_open = false;        // breaker state seen at dispatch
 };
 
@@ -251,7 +253,6 @@ struct QueryResponse {
   std::uint8_t shed_reason = static_cast<std::uint8_t>(ShedReason::kNone);
   // Per-shard attribution; populated only by m3d-router.
   std::vector<ShardReportWire> shards;
-  ServerStatsWire stats;
 };
 
 /// Scatter unit: the full client query plus the sample slots this
@@ -326,6 +327,12 @@ std::string EncodeStatsRequest();
 
 std::string EncodeStats(const ServerStatsWire& stats);
 StatusOr<ServerStatsWire> DecodeStats(const std::string& payload);
+
+/// Multi-line text rendering of a stats snapshot, each line starting with
+/// `line_prefix`: the one renderer behind `m3_client --stats` and the
+/// shutdown reports of m3d and m3d_router. Blocks that do not apply
+/// (overload, persistence, worker pool, router shards) are left out.
+std::string FormatStats(const ServerStatsWire& s, const std::string& line_prefix = "");
 
 std::string EncodeReloadRequest(const ReloadRequest& req);
 StatusOr<ReloadRequest> DecodeReloadRequest(const std::string& payload);

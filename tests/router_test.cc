@@ -238,6 +238,31 @@ TEST(ShardWire, ShardQueryRequestRoundTrip) {
   EXPECT_EQ(QueryCacheKey(req.query, digest), QueryCacheKey(got->query, digest));
 }
 
+TEST(ShardWire, LargeQueryRoundTrips) {
+  // The embedded query is bounded only by the frame cap, like a plain
+  // QueryRequest: 40,000 flows (about 1.2 MB) reach the shard intact.
+  ShardQueryRequest req;
+  req.query = SampleShardQuery();
+  req.query.flows.resize(40'000);
+  for (std::size_t i = 0; i < req.query.flows.size(); ++i) {
+    WireFlow& f = req.query.flows[i];
+    f.id = static_cast<std::int32_t>(i);
+    f.src_host = static_cast<std::int32_t>(i % 16);
+    f.dst_host = static_cast<std::int32_t>((i + 1) % 16);
+    f.size = 1000 + static_cast<std::int64_t>(i);
+    f.arrival = 10 * static_cast<std::int64_t>(i);
+  }
+  req.slots = {0, 2, 4};
+  const StatusOr<ShardQueryRequest> got =
+      DecodeShardQueryRequest(EncodeShardQueryRequest(req));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->slots, req.slots);
+  ASSERT_EQ(got->query.flows.size(), req.query.flows.size());
+  EXPECT_EQ(got->query.flows.back().size, req.query.flows.back().size);
+  const Hash128 digest = HashBytes("m", 1);
+  EXPECT_EQ(QueryCacheKey(req.query, digest), QueryCacheKey(got->query, digest));
+}
+
 ShardQueryResponse SampleShardResponse() {
   ShardQueryResponse resp;
   resp.status = Status::Degraded("1 slot degraded");
@@ -343,7 +368,6 @@ TEST(ShardWire, QueryResponseShardAttributionRoundTrips) {
   row.slots_fallback = 1;
   row.slots_dropped = 1;
   row.retries = 2;
-  row.hedges = 1;
   row.breaker_open = true;
   resp.shards.push_back(row);
   const StatusOr<QueryResponse> got = DecodeQueryResponse(EncodeQueryResponse(resp));
@@ -355,7 +379,6 @@ TEST(ShardWire, QueryResponseShardAttributionRoundTrips) {
   EXPECT_EQ(got->shards[0].slots_fallback, 1u);
   EXPECT_EQ(got->shards[0].slots_dropped, 1u);
   EXPECT_EQ(got->shards[0].retries, 2u);
-  EXPECT_EQ(got->shards[0].hedges, 1u);
   EXPECT_TRUE(got->shards[0].breaker_open);
 }
 
@@ -370,7 +393,6 @@ TEST(ShardWire, RouterStatsAndPingFieldsRoundTrip) {
   sh.dispatches = 100;
   sh.failures = 4;
   sh.retries = 3;
-  sh.hedges = 2;
   sh.slots_fallback = 7;
   sh.slots_dropped = 1;
   s.shards.push_back(sh);
@@ -384,7 +406,6 @@ TEST(ShardWire, RouterStatsAndPingFieldsRoundTrip) {
   EXPECT_EQ(gs->shards[0].dispatches, 100u);
   EXPECT_EQ(gs->shards[0].failures, 4u);
   EXPECT_EQ(gs->shards[0].retries, 3u);
-  EXPECT_EQ(gs->shards[0].hedges, 2u);
   EXPECT_EQ(gs->shards[0].slots_fallback, 7u);
   EXPECT_EQ(gs->shards[0].slots_dropped, 1u);
 
@@ -731,6 +752,13 @@ TEST(RouterChaos, RouterCacheServesRepeatsAndSurvivesRestart) {
   ro.cache_flush_interval_seconds = 60.0;  // the test flushes explicitly
 
   const QueryRequest req = FleetQuery(5);
+  // Every path is counted once as ok, degraded or dropped; cached paths
+  // are a subset of the ok ones.
+  const auto expect_paths_add_up = [&req](const QueryResponse& r) {
+    const DegradationReport& d = r.degradation;
+    EXPECT_EQ(d.paths_ok + d.paths_degraded + d.paths_dropped, req.num_paths);
+    EXPECT_LE(d.paths_cached, d.paths_ok);
+  };
   QueryResponse first;
   {
     Router router(ro);
@@ -739,6 +767,7 @@ TEST(RouterChaos, RouterCacheServesRepeatsAndSurvivesRestart) {
     first = router.Query(req);
     ASSERT_TRUE(first.status.ok()) << first.status.ToString();
     EXPECT_EQ(first.degradation.paths_cached, 0);
+    expect_paths_add_up(first);
 
     // Identical repeat: every slot answered from the router cache, no
     // scatter, bitwise identical to the scattered answer.
@@ -746,7 +775,8 @@ TEST(RouterChaos, RouterCacheServesRepeatsAndSurvivesRestart) {
     ASSERT_TRUE(repeat.status.ok());
     ExpectBitwiseEqual(first, repeat);
     EXPECT_EQ(repeat.degradation.paths_cached, 5);
-    EXPECT_EQ(repeat.degradation.paths_ok, 0);
+    EXPECT_EQ(repeat.degradation.paths_ok, 5);
+    expect_paths_add_up(repeat);
     // A fully-cached answer must still carry the fleet's model identity,
     // not a zero version/crc from the skipped scatter.
     EXPECT_NE(first.model_crc, 0u);
@@ -774,6 +804,7 @@ TEST(RouterChaos, RouterCacheServesRepeatsAndSurvivesRestart) {
     ASSERT_TRUE(warm.status.ok());
     ExpectBitwiseEqual(first, warm);
     EXPECT_EQ(warm.degradation.paths_cached, 5);
+    expect_paths_add_up(warm);
     EXPECT_EQ(warm.model_version, first.model_version);
     EXPECT_EQ(warm.model_crc, first.model_crc);
     router.Stop();

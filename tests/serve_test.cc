@@ -183,7 +183,7 @@ ServerStatsWire FullStats() {
   s.quarantined_digests = 1;
   s.router_mode = true;
   s.shards.push_back({.address = "tcp:10.0.0.2:9000", .healthy = true, .model_version = 3,
-                      .dispatches = 100, .failures = 4, .retries = 3, .hedges = 2,
+                      .dispatches = 100, .failures = 4, .retries = 3,
                       .slots_fallback = 7, .slots_dropped = 1});
   s.queries_shed = 5;
   for (std::size_t i = 0; i < kNumShedReasons; ++i) s.shed_by_reason[i] = 30 + i;
@@ -225,7 +225,6 @@ QueryResponse SampleResponse() {
   resp.shed_reason = static_cast<std::uint8_t>(ShedReason::kSojourn);
   resp.shards.push_back(
       {.shard = "unix:/tmp/s1.sock", .slots_assigned = 10, .slots_ok = 9, .slots_fallback = 1});
-  resp.stats = FullStats();
   return resp;
 }
 
@@ -260,10 +259,9 @@ TEST(Wire, QueryResponseRoundTrip) {
   EXPECT_EQ(got->model_version, 5u);
   EXPECT_EQ(got->model_crc, 0xdeadbeefu);
   EXPECT_TRUE(got->query_cache_hit);
-  EXPECT_EQ(got->stats.queries_received, 100u);
-  EXPECT_EQ(got->stats.query_cache[0], 10u);
-  EXPECT_EQ(got->stats.model_path, "m.ckpt");
-  EXPECT_EQ(got->stats.persist_flush_backlog, 46u);
+  EXPECT_EQ(got->shed_reason, resp.shed_reason);
+  ASSERT_EQ(got->shards.size(), 1u);
+  EXPECT_EQ(got->shards[0].slots_ok, 9u);
 }
 
 TEST(Wire, StatsAndReloadRoundTrip) {
@@ -294,6 +292,29 @@ TEST(Wire, StatsAndReloadRoundTrip) {
   EXPECT_EQ(rp->status.code(), StatusCode::kDataLoss);
   EXPECT_EQ(rp->model_version, 4u);
   EXPECT_EQ(rp->model_crc, 0x1234u);
+}
+
+TEST(Wire, FormatStatsPrefixesEveryLineAndSkipsUnusedBlocks) {
+  const std::string full = FormatStats(FullStats(), "m3d: ");
+  ASSERT_FALSE(full.empty());
+  EXPECT_EQ(full.back(), '\n');
+  for (std::size_t at = 0; at < full.size(); at = full.find('\n', at) + 1) {
+    EXPECT_EQ(full.compare(at, 5, "m3d: "), 0) << full.substr(at);
+  }
+  for (const char* want :
+       {"overload: brownout level 1, 2 browned-out queries; in-flight cost 12.5 / 640.0 budget",
+        " path cache: 20 hits / 21 misses, 22 inserts, 23 evictions, 24 entries",
+        "persist: 41 segments loaded, 42 entries recovered",
+        "worker pool: 3/4 alive; 7 spawns, 2 restarts, 1 crashes",
+        "tcp:10.0.0.2:9000 — healthy, model v3; 100 dispatches, 4 failures, 3 retries, "
+        "7 fallback slots, 1 dropped slots"}) {
+    EXPECT_NE(full.find(want), std::string::npos) << want;
+  }
+  EXPECT_EQ(FormatStats(ServerStatsWire{}),
+            "model: <none> (v0 crc 00000000), reloads 0 ok / 0 failed\n"
+            "queries: 0 received, 0 ok, 0 rejected, 0 shed, 0 failed; queue 0/0, 0 workers\n"
+            "query cache: 0 hits / 0 misses, 0 inserts, 0 evictions, 0 entries\n"
+            " path cache: 0 hits / 0 misses, 0 inserts, 0 evictions, 0 entries\n");
 }
 
 // A fully populated sample of every wire message, with its decoder and a
@@ -383,18 +404,18 @@ TEST(Wire, EncodingsMatchPinnedBytes) {
     const char* hash;
   };
   const Pin pins[] = {
-      {"query request", 254, "5f2afbeec48354b0629e7ebc75605de8"},
-      {"query response", 3134, "78e353e9eefffa5052eacedfb9f59142"},
-      {"stats request", 4, "b5d0f71112b155dfbd92ae95cfcc51cc"},
-      {"stats", 473, "c0bf160fd3e1039a4c690a84ff0acf90"},
-      {"reload request", 27, "57b5d5ae9f63bf3bdc3a39a971bd0fdf"},
-      {"reload response", 40, "ef8688a79afc48528aa2a4e271fcb9f1"},
-      {"ping request", 4, "b5d0f71112b155dfbd92ae95cfcc51cc"},
-      {"ping response", 31, "a4f654d6a844e63f9f9e9414759e525c"},
-      {"shard query request", 286, "523152b9f65bffe297b744dc7122b5f1"},
-      {"shard query response", 6607, "d9ea5d650a6d062f6f4403b2d93f8716"},
-      {"path estimate value", 3236, "5de999a00af464b3973b0081f8ed915c"},
-      {"router path value", 3248, "e32cdda65d5911bfd6a8777dd2bf723b"},
+      {"query request", 254, "b7973b10982be9269a949fb6fb943f46"},
+      {"query response", 2661, "b0b5fccacd535cb3b6211851e738b5c7"},
+      {"stats request", 4, "275faade58d855c2aad5d203a0bd86cb"},
+      {"stats", 465, "832b9dadb5523e9e39367fbd7168be0a"},
+      {"reload request", 27, "69248cefb807ba75df0cf6a9ff544e1b"},
+      {"reload response", 40, "e1d2389771e69d7dd4b0b57ee5acf217"},
+      {"ping request", 4, "275faade58d855c2aad5d203a0bd86cb"},
+      {"ping response", 31, "d86583432478fc47bcc9d7e60cfcfa58"},
+      {"shard query request", 274, "e84d9e2046c4ffea2e0511116716031e"},
+      {"shard query response", 6607, "38a06643c097d2f1fb711841b63cd233"},
+      {"path estimate value", 3236, "34fb6839a1298e76cf333e08a84b1d73"},
+      {"router path value", 3248, "3de651af931ba3926626023a8bf67645"},
   };
   const std::vector<WireSample> samples = WireSamples();
   ASSERT_EQ(samples.size(), std::size(pins));
@@ -830,7 +851,7 @@ TEST(Service, NoModelLoadedIsUnavailable) {
   EstimationService service(SmallServiceOptions());
   const QueryResponse resp = service.ExecuteInline(SmallQuery());
   EXPECT_EQ(resp.status.code(), StatusCode::kUnavailable) << resp.status.ToString();
-  EXPECT_EQ(resp.stats.queries_failed, 1u);
+  EXPECT_EQ(service.Stats().queries_failed, 1u);
 }
 
 TEST(Service, ValidationRejectsHostileFlows) {

@@ -43,7 +43,7 @@ echo "== ASan: checkpoint/trainer/wire-decoder robustness suites =="
 cmake -B build-asan -S . -DM3_SANITIZE=address "$@"
 cmake --build build-asan -j"$JOBS" --target m3_tests
 ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist|Wire\.|OverloadWire'
+  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist|Wire\.|OverloadWire|CacheKey'
 
 echo "== kernels: SIMD parity suites under ASan+UBSan for every M3_KERNEL =="
 # Every dispatchable tier (including forced-but-unavailable values, which

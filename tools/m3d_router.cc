@@ -44,7 +44,6 @@ constexpr const char* kUsage =
     "  --vnodes N           ring points per shard, >= 1              (64)\n"
     "  --shard-timeout S    per-sub-request answer bound, seconds    (30)\n"
     "  --connect-timeout S  per-shard connect bound, seconds         (2)\n"
-    "  --hedge S            re-dispatch stragglers after S seconds   (0 = off)\n"
     "  --backoff-ms MS      base retry backoff, doubled per round    (25)\n"
     "  --health-interval S  background probe period, seconds         (0.5)\n"
     "  --breaker-threshold N   failures to open a shard breaker      (3)\n"
@@ -132,7 +131,6 @@ int main(int argc, char** argv) {
     else if (key == "--vnodes") opts.vnodes = static_cast<int>(ParseInt(key, v, 1, 4096));
     else if (key == "--shard-timeout") opts.shard_timeout_seconds = ParseSeconds(key, v);
     else if (key == "--connect-timeout") opts.connect_timeout_seconds = ParseSeconds(key, v);
-    else if (key == "--hedge") opts.hedge_seconds = ParseSeconds(key, v);
     else if (key == "--backoff-ms") opts.retry_backoff_ms = static_cast<double>(ParseInt(key, v, 0, 60'000));
     else if (key == "--health-interval") opts.health_interval_seconds = ParseSeconds(key, v, 0.01);
     else if (key == "--breaker-threshold") opts.breaker.threshold = static_cast<int>(ParseInt(key, v, 1, 1'000'000));
@@ -184,12 +182,9 @@ int main(int argc, char** argv) {
   std::uint32_t healthy = 0;
   for (const ShardHealthWire& s : boot.shards) healthy += s.healthy ? 1 : 0;
   std::printf("m3d_router: serving on %s — %zu shard(s), %u healthy at boot; "
-              "%d replica(s), %d vnodes, hedge %s\n",
+              "%d replica(s), %d vnodes\n",
               listen_ep->ToString().c_str(), router.num_shards(), healthy,
-              opts.replicas, opts.vnodes,
-              opts.hedge_seconds > 0
-                  ? (std::to_string(opts.hedge_seconds) + "s").c_str()
-                  : "off");
+              opts.replicas, opts.vnodes);
   for (const ShardHealthWire& s : boot.shards) {
     std::printf("m3d_router:   shard %s — %s\n", s.address.c_str(),
                 s.healthy ? "healthy" : "unreachable");
@@ -210,36 +205,6 @@ int main(int argc, char** argv) {
                                                                  : "SIGTERM");
   server.Stop();
   router.Stop();
-  const ServerStatsWire s = router.Stats();
-  std::printf("m3d_router: routed %llu queries (%llu answered, %llu failed); "
-              "path cache %llu/%llu hit\n",
-              static_cast<unsigned long long>(s.queries_received),
-              static_cast<unsigned long long>(s.queries_ok),
-              static_cast<unsigned long long>(s.queries_failed),
-              static_cast<unsigned long long>(s.path_cache[0]),
-              static_cast<unsigned long long>(s.path_cache[0] + s.path_cache[1]));
-  if (s.persist_enabled) {
-    std::printf("m3d_router: durable cache: %llu segments loaded, %llu entries "
-                "recovered, %llu flushed, %llu corrupt skipped, %llu digest-dropped, "
-                "%llu backlog\n",
-                static_cast<unsigned long long>(s.persist_segments_loaded),
-                static_cast<unsigned long long>(s.persist_entries_loaded),
-                static_cast<unsigned long long>(s.persist_entries_flushed),
-                static_cast<unsigned long long>(s.persist_records_corrupt),
-                static_cast<unsigned long long>(s.persist_digest_dropped),
-                static_cast<unsigned long long>(s.persist_flush_backlog));
-  }
-  for (const ShardHealthWire& sh : s.shards) {
-    std::printf("m3d_router:   %s — %llu dispatches, %llu failures, %llu retries, "
-                "%llu hedges, %llu fallback slots, %llu dropped slots%s\n",
-                sh.address.c_str(),
-                static_cast<unsigned long long>(sh.dispatches),
-                static_cast<unsigned long long>(sh.failures),
-                static_cast<unsigned long long>(sh.retries),
-                static_cast<unsigned long long>(sh.hedges),
-                static_cast<unsigned long long>(sh.slots_fallback),
-                static_cast<unsigned long long>(sh.slots_dropped),
-                sh.breaker_open ? " [breaker open]" : "");
-  }
+  std::fputs(FormatStats(router.Stats(), "m3d_router: ").c_str(), stdout);
   return 0;
 }
