@@ -18,51 +18,64 @@ struct ActiveFlow {
   double rate = 0.0;       // current max-min rate (effective bytes/ns)
 };
 
+// Buffers of the rate computation, owned by one RunFlowSim call and reused
+// on every event: once they have grown to the run's peak, an arrival or
+// completion allocates nothing.
+struct RateScratch {
+  std::vector<std::int32_t> link_slot;  // LinkId -> slot in `cap`; -1 between events
+  std::vector<LinkId> used_links;       // slot -> LinkId
+  std::vector<double> cap;              // remaining capacity per slot
+  std::array<std::vector<std::size_t>, kNumPriorities> groups;  // `active` indices per class
+  std::vector<std::vector<std::size_t>> members;  // per slot: the group's flows on it
+  std::vector<int> unfrozen;                      // per slot: the group's unfrozen flows
+  std::vector<char> frozen;                       // per `active` index
+};
+
 // Waterfills one priority class of flows against the remaining capacities
-// in `cap`, consuming capacity as flows freeze. `group` holds indices into
-// `active`; `link_slot` maps LinkId -> slot in `cap`.
-void WaterfillGroup(std::vector<ActiveFlow>& active, const std::vector<Route>& paths,
-                    const std::vector<std::size_t>& group,
-                    const std::vector<std::int32_t>& link_slot, std::vector<double>& cap) {
+// in `s.cap`, consuming capacity as flows freeze. `group` holds indices into
+// `active`.
+void WaterfillGroup(std::vector<ActiveFlow>& active, const std::vector<Flow>& flows,
+                    const std::vector<std::size_t>& group, RateScratch& s) {
   if (group.empty()) return;
+  const std::size_t slots = s.cap.size();
   // Per-slot unfrozen counts and membership limited to this group.
-  std::vector<std::vector<std::size_t>> members(cap.size());
-  std::vector<int> unfrozen(cap.size(), 0);
+  if (s.members.size() < slots) s.members.resize(slots);
+  for (std::size_t k = 0; k < slots; ++k) s.members[k].clear();
+  s.unfrozen.assign(slots, 0);
   for (std::size_t a : group) {
-    for (LinkId l : paths[active[a].flow_idx]) {
-      const auto s = static_cast<std::size_t>(link_slot[static_cast<std::size_t>(l)]);
-      members[s].push_back(a);
-      ++unfrozen[s];
+    for (LinkId l : flows[active[a].flow_idx].path) {
+      const auto k = static_cast<std::size_t>(s.link_slot[static_cast<std::size_t>(l)]);
+      s.members[k].push_back(a);
+      ++s.unfrozen[k];
     }
   }
 
-  std::vector<char> frozen_flag(active.size(), 0);
   std::size_t num_frozen = 0;
   while (num_frozen < group.size()) {
     double best_share = kInf;
     std::size_t best = 0;
     bool found = false;
-    for (std::size_t s = 0; s < cap.size(); ++s) {
-      if (unfrozen[s] <= 0) continue;
-      const double share = cap[s] / unfrozen[s];
+    for (std::size_t k = 0; k < slots; ++k) {
+      if (s.unfrozen[k] <= 0) continue;
+      const double share = s.cap[k] / s.unfrozen[k];
       if (share < best_share) {
         best_share = share;
-        best = s;
+        best = k;
         found = true;
       }
     }
     if (!found) break;  // defensive; cannot happen while flows remain
 
-    for (std::size_t a : members[best]) {
-      if (frozen_flag[a]) continue;
-      frozen_flag[a] = 1;
+    for (std::size_t a : s.members[best]) {
+      if (s.frozen[a]) continue;
+      s.frozen[a] = 1;
       ++num_frozen;
       active[a].rate = best_share;
-      for (LinkId l : paths[active[a].flow_idx]) {
-        const auto s = static_cast<std::size_t>(link_slot[static_cast<std::size_t>(l)]);
-        cap[s] -= best_share;
-        if (cap[s] < 0.0) cap[s] = 0.0;
-        unfrozen[s] -= 1;
+      for (LinkId l : flows[active[a].flow_idx].path) {
+        const auto k = static_cast<std::size_t>(s.link_slot[static_cast<std::size_t>(l)]);
+        s.cap[k] -= best_share;
+        if (s.cap[k] < 0.0) s.cap[k] = 0.0;
+        s.unfrozen[k] -= 1;
       }
     }
   }
@@ -72,35 +85,35 @@ void WaterfillGroup(std::vector<ActiveFlow>& active, const std::vector<Route>& p
 // Class 0 is waterfilled first; each lower class only sees the leftover
 // capacity (fluid analogue of strict-priority queueing).
 void ComputeMaxMinRates(const Topology& topo, std::vector<ActiveFlow>& active,
-                        const std::vector<Route>& paths,
-                        const std::vector<std::uint8_t>& priorities, double efficiency) {
+                        const std::vector<Flow>& flows, double efficiency, RateScratch& s) {
   if (active.empty()) return;
 
-  // Gather the set of links in use.
-  std::vector<LinkId> used_links;
-  std::vector<std::int32_t> link_slot(topo.num_links(), -1);
+  // Gather the set of links in use, numbered by first use.
+  s.used_links.clear();
   for (const ActiveFlow& af : active) {
-    for (LinkId l : paths[af.flow_idx]) {
-      if (link_slot[static_cast<std::size_t>(l)] < 0) {
-        link_slot[static_cast<std::size_t>(l)] = static_cast<std::int32_t>(used_links.size());
-        used_links.push_back(l);
+    for (LinkId l : flows[af.flow_idx].path) {
+      if (s.link_slot[static_cast<std::size_t>(l)] < 0) {
+        s.link_slot[static_cast<std::size_t>(l)] = static_cast<std::int32_t>(s.used_links.size());
+        s.used_links.push_back(l);
       }
     }
   }
-  std::vector<double> cap(used_links.size());
-  for (std::size_t s = 0; s < used_links.size(); ++s) {
-    cap[s] = topo.link(used_links[s]).rate * efficiency;
+  s.cap.resize(s.used_links.size());
+  for (std::size_t k = 0; k < s.used_links.size(); ++k) {
+    s.cap[k] = topo.link(s.used_links[k]).rate * efficiency;
   }
 
-  std::array<std::vector<std::size_t>, kNumPriorities> groups;
+  for (auto& group : s.groups) group.clear();
   for (std::size_t a = 0; a < active.size(); ++a) {
-    const std::size_t prio = std::min<std::size_t>(priorities[active[a].flow_idx],
+    const std::size_t prio = std::min<std::size_t>(flows[active[a].flow_idx].priority,
                                                    kNumPriorities - 1);
-    groups[prio].push_back(a);
+    s.groups[prio].push_back(a);
   }
-  for (auto& group : groups) {
-    WaterfillGroup(active, paths, group, link_slot, cap);
-  }
+  // Each flow is in exactly one class, so one reset serves every class.
+  s.frozen.assign(active.size(), 0);
+  for (const auto& group : s.groups) WaterfillGroup(active, flows, group, s);
+
+  for (LinkId l : s.used_links) s.link_slot[static_cast<std::size_t>(l)] = -1;
 }
 
 }  // namespace
@@ -111,16 +124,12 @@ std::vector<FlowResult> RunFlowSim(const Topology& topo, const std::vector<Flow>
       static_cast<double>(opts.mtu) / static_cast<double>(opts.mtu + opts.hdr);
 
   std::vector<FlowResult> results(flows.size());
-  std::vector<Route> paths(flows.size());
-  std::vector<std::uint8_t> priorities(flows.size(), 0);
   std::vector<double> base_latency(flows.size());
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const Flow& f = flows[i];
     if (f.path.empty() || f.size <= 0) {
       throw std::invalid_argument("RunFlowSim: every flow needs a path and positive size");
     }
-    paths[i] = f.path;
-    priorities[i] = f.priority;
     results[i].id = f.id;
     results[i].size = f.size;
     results[i].ideal_fct = IdealFct(topo, f.path, f.size, opts.mtu, opts.hdr);
@@ -137,6 +146,8 @@ std::vector<FlowResult> RunFlowSim(const Topology& topo, const std::vector<Flow>
     return flows[a].arrival < flows[b].arrival;
   });
 
+  RateScratch scratch;
+  scratch.link_slot.assign(topo.num_links(), -1);
   std::vector<ActiveFlow> active;
   std::size_t next_arrival = 0;
   double now = flows.empty() ? 0.0 : static_cast<double>(flows[order[0]].arrival);
@@ -184,7 +195,7 @@ std::vector<FlowResult> RunFlowSim(const Topology& topo, const std::vector<Flow>
       active.pop_back();
     }
 
-    ComputeMaxMinRates(topo, active, paths, priorities, efficiency);
+    ComputeMaxMinRates(topo, active, flows, efficiency, scratch);
   }
 
   return results;

@@ -1,20 +1,62 @@
 #include "pathdecomp/decompose.h"
 
-#include <algorithm>
+#include <array>
+#include <limits>
 #include <stdexcept>
 
 namespace m3 {
+namespace {
+
+std::uint64_t HashRoute(const Route& route) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL ^ route.size();
+  for (LinkId l : route) {
+    h = (h ^ static_cast<std::uint32_t>(l)) * 0xff51afd7ed558ccdULL;
+    h ^= h >> 32;
+  }
+  return h;
+}
+
+}  // namespace
 
 PathDecomposition::PathDecomposition(const Topology& topo, const std::vector<Flow>& flows)
-    : topo_(topo), flows_(flows), link_flows_(topo.num_links()) {
-  std::map<Route, std::size_t> index;
-  for (const Flow& f : flows_) {
-    for (LinkId l : f.path) link_flows_[static_cast<std::size_t>(l)].push_back(f.id);
-    auto [it, inserted] = index.emplace(f.path, paths_.size());
-    if (inserted) {
-      paths_.push_back(PathInfo{f.path, {}});
+    : link_off_(topo.num_links() + 1, 0) {
+  // Link -> flows, by counting sort: one pass counts, one pass places the
+  // flows in ascending position.
+  for (const Flow& f : flows) {
+    for (LinkId l : f.path) ++link_off_[static_cast<std::size_t>(l) + 1];
+  }
+  for (std::size_t l = 1; l < link_off_.size(); ++l) link_off_[l] += link_off_[l - 1];
+  link_flow_.resize(link_off_.back());
+  std::vector<std::uint32_t> fill(link_off_.begin(), link_off_.end() - 1);
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    for (LinkId l : flows[i].path) {
+      link_flow_[fill[static_cast<std::size_t>(l)]++] = static_cast<FlowId>(i);
     }
-    paths_[it->second].fg_flows.push_back(f.id);
+  }
+
+  // Route -> path: an open-addressing table over route hashes, at most
+  // half full. Each route is hashed once; a new route opens the next path.
+  constexpr std::uint32_t kEmpty = std::numeric_limits<std::uint32_t>::max();
+  std::size_t buckets = 2;
+  while (buckets < 2 * flows.size()) buckets <<= 1;
+  std::vector<std::uint32_t> table(buckets, kEmpty);
+  std::vector<std::uint64_t> path_hash;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const Route& route = flows[i].path;
+    const std::uint64_t h = HashRoute(route);
+    std::size_t b = static_cast<std::size_t>(h) & (buckets - 1);
+    std::uint32_t p = table[b];
+    while (p != kEmpty && !(path_hash[p] == h && paths_[p].links == route)) {
+      b = (b + 1) & (buckets - 1);
+      p = table[b];
+    }
+    if (p == kEmpty) {
+      p = static_cast<std::uint32_t>(paths_.size());
+      table[b] = p;
+      path_hash.push_back(h);
+      paths_.push_back(PathInfo{route, {}});
+    }
+    paths_[p].fg_flows.push_back(static_cast<FlowId>(i));
   }
 }
 
@@ -23,20 +65,37 @@ std::vector<BgFlowOnPath> PathDecomposition::BackgroundFlows(std::size_t i) cons
   const int n = static_cast<int>(p.links.size());
   if (n > 32) throw std::invalid_argument("BackgroundFlows: path too long (> 32 hops)");
 
-  // Bitmask of path hops each candidate flow touches. Flow ids are dense
-  // (0..N-1) per the generator contract.
-  std::vector<std::uint32_t> hops(flows_.size(), 0);
+  // One cursor per hop into that link's ascending flow list. Taking the
+  // smallest head each round visits every flow on the path once, in
+  // ascending position, together with the bitmask of hops it touches.
+  std::array<const FlowId*, 32> at{};
+  std::array<const FlowId*, 32> end{};
   for (int hop = 0; hop < n; ++hop) {
-    for (FlowId f : link_flows_[static_cast<std::size_t>(p.links[static_cast<std::size_t>(hop)])]) {
-      hops[static_cast<std::size_t>(f)] |= (1u << hop);
-    }
+    const auto l = static_cast<std::size_t>(p.links[static_cast<std::size_t>(hop)]);
+    at[static_cast<std::size_t>(hop)] = link_flow_.data() + link_off_[l];
+    end[static_cast<std::size_t>(hop)] = link_flow_.data() + link_off_[l + 1];
   }
 
   const std::uint32_t full = n == 32 ? ~0u : ((1u << n) - 1u);
   std::vector<BgFlowOnPath> bg;
-  for (std::size_t fi = 0; fi < flows_.size(); ++fi) {
-    const std::uint32_t mask = hops[fi];
-    if (mask == 0) continue;     // does not intersect the path
+  for (;;) {
+    FlowId fi = std::numeric_limits<FlowId>::max();
+    bool any = false;
+    for (std::size_t hop = 0; hop < static_cast<std::size_t>(n); ++hop) {
+      if (at[hop] != end[hop] && *at[hop] <= fi) {
+        fi = *at[hop];
+        any = true;
+      }
+    }
+    if (!any) break;
+    std::uint32_t mask = 0;
+    for (std::size_t hop = 0; hop < static_cast<std::size_t>(n); ++hop) {
+      // A route that repeats a link lists the flow twice; skip both.
+      while (at[hop] != end[hop] && *at[hop] == fi) {
+        mask |= 1u << hop;
+        ++at[hop];
+      }
+    }
     if (mask == full) continue;  // foreground (traverses all links)
     // ECMP siblings of the foreground flows can intersect the path
     // non-contiguously (e.g. share both host/ToR ends but take a different
@@ -49,10 +108,10 @@ std::vector<BgFlowOnPath> PathDecomposition::BackgroundFlows(std::size_t i) cons
         ++hop;
         continue;
       }
-      int end = hop;
-      while (end < n && (mask & (1u << end))) ++end;
-      bg.push_back(BgFlowOnPath{static_cast<FlowId>(fi), hop, end});
-      hop = end;
+      int stop = hop;
+      while (stop < n && (mask & (1u << stop))) ++stop;
+      bg.push_back(BgFlowOnPath{fi, hop, stop});
+      hop = stop;
     }
   }
   return bg;

@@ -25,9 +25,19 @@ PathScenario BuildPathScenario(const Topology& topo, const std::vector<Flow>& fl
   const NodeId head = lot.switch_at(0);
   const NodeId tail = lot.switch_at(n);
 
+  const std::vector<BgFlowOnPath> background = decomp.BackgroundFlows(path_idx);
+  const std::size_t total = info.fg_flows.size() + background.size();
+  sc.flows.reserve(total);
+  sc.is_fg.reserve(total);
+  sc.orig_id.reserve(total);
+  sc.entry_hop.reserve(total);
+  sc.exit_hop.reserve(total);
+
+  // Known gap: Flow::priority is not carried into the scenario, so every
+  // scenario flow runs in class 0.
   const Route fg_route = lot.RouteBetween(head, 0, tail, n);
-  for (FlowId id : info.fg_flows) {
-    const Flow& orig = flows[static_cast<std::size_t>(id)];
+  for (FlowId pos : info.fg_flows) {
+    const Flow& orig = flows[static_cast<std::size_t>(pos)];
     Flow f;
     f.id = static_cast<FlowId>(sc.flows.size());
     f.src = head;
@@ -37,12 +47,12 @@ PathScenario BuildPathScenario(const Topology& topo, const std::vector<Flow>& fl
     f.path = fg_route;
     sc.flows.push_back(std::move(f));
     sc.is_fg.push_back(1);
-    sc.orig_id.push_back(id);
+    sc.orig_id.push_back(orig.id);
     sc.entry_hop.push_back(0);
     sc.exit_hop.push_back(n);
   }
 
-  for (const BgFlowOnPath& bg : decomp.BackgroundFlows(path_idx)) {
+  for (const BgFlowOnPath& bg : background) {
     const Flow& orig = flows[static_cast<std::size_t>(bg.flow)];
     // Access capacities: the flow's original source/destination capacity
     // (its first/last link rates), per §3.2.
@@ -67,7 +77,7 @@ PathScenario BuildPathScenario(const Topology& topo, const std::vector<Flow>& fl
     f.path = lot.RouteBetween(src, bg.entry_hop, dst, bg.exit_hop);
     sc.flows.push_back(std::move(f));
     sc.is_fg.push_back(0);
-    sc.orig_id.push_back(bg.flow);
+    sc.orig_id.push_back(orig.id);
     sc.entry_hop.push_back(bg.entry_hop);
     sc.exit_hop.push_back(bg.exit_hop);
   }

@@ -19,7 +19,7 @@ struct PathScenario {
   std::unique_ptr<ParkingLot> lot;
   std::vector<Flow> flows;        // local ids 0..N-1, routed in lot->topo()
   std::vector<char> is_fg;        // parallel to flows
-  std::vector<FlowId> orig_id;    // original flow id, or -1 for synthetic
+  std::vector<FlowId> orig_id;    // original Flow::id (a label), or -1 for synthetic
   // Hop span of each flow on the chain: [entry, exit) over path links.
   std::vector<int> entry_hop;
   std::vector<int> exit_hop;
@@ -33,7 +33,8 @@ struct PathScenario {
 };
 
 /// Builds the path-level scenario for `decomp.path(path_idx)` from the full
-/// topology and flow set.
+/// topology and the flow set `decomp` was built from. Foreground flows come
+/// first, then background segments, each in ascending flow position.
 PathScenario BuildPathScenario(const Topology& topo, const std::vector<Flow>& flows,
                                const PathDecomposition& decomp, std::size_t path_idx);
 

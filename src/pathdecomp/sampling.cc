@@ -3,10 +3,12 @@
 namespace m3 {
 
 std::vector<std::size_t> SamplePaths(const PathDecomposition& decomp, int k, Rng& rng) {
-  const std::vector<double> weights = decomp.ForegroundWeights();
+  // Foreground counts are integers, so the draws match the sequential
+  // weighted-index rule exactly (see WeightedSampler).
+  const WeightedSampler sampler(decomp.ForegroundWeights());
   std::vector<std::size_t> sample;
   sample.reserve(static_cast<std::size_t>(k));
-  for (int i = 0; i < k; ++i) sample.push_back(rng.WeightedIndex(weights));
+  for (int i = 0; i < k; ++i) sample.push_back(sampler.Draw(rng));
   return sample;
 }
 

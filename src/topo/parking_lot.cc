@@ -39,17 +39,26 @@ NodeId ParkingLot::AttachHost(int i, Bpns access_rate, std::uint64_t endpoint_ke
   const auto key = std::make_pair(endpoint_key, i);
   if (auto it = attached_.find(key); it != attached_.end()) return it->second;
   const NodeId host = topo_.AddNode(NodeKind::kHost);
-  topo_.AddDuplexLink(host, switch_at(i), access_rate, access_delay);
+  const auto [up, down] = topo_.AddDuplexLink(host, switch_at(i), access_rate, access_delay);
   attached_.emplace(key, host);
+  access_.resize(static_cast<std::size_t>(host) + 1);
+  access_[static_cast<std::size_t>(host)] = AccessLinks{i, up, down};
   return host;
+}
+
+LinkId ParkingLot::AccessLink(NodeId host, int i, bool up) const {
+  const auto h = static_cast<std::size_t>(host);
+  if (h >= access_.size() || access_[h].at != i) return kInvalidLink;
+  return up ? access_[h].up : access_[h].down;
 }
 
 Route ParkingLot::RouteBetween(NodeId src_host, int i, NodeId dst_host, int j) const {
   if (i >= j) throw std::invalid_argument("ParkingLot::RouteBetween requires i < j");
   Route route;
-  if (src_host != switch_at(i)) route.push_back(topo_.FindLink(src_host, switch_at(i)));
+  route.reserve(static_cast<std::size_t>(j - i) + 2);
+  if (src_host != switch_at(i)) route.push_back(AccessLink(src_host, i, /*up=*/true));
   for (int k = i; k < j; ++k) route.push_back(path_links_[static_cast<std::size_t>(k)]);
-  if (dst_host != switch_at(j)) route.push_back(topo_.FindLink(switch_at(j), dst_host));
+  if (dst_host != switch_at(j)) route.push_back(AccessLink(dst_host, j, /*up=*/false));
   return route;
 }
 

@@ -40,21 +40,36 @@ class ParkingLot {
   /// Attaches (or reuses) a host at chain node `i` with an access link of
   /// rate `access_rate` in both directions. Hosts are deduplicated by
   /// (`endpoint_key`, i) so flows from the same original endpoint share
-  /// their NIC, as they would in the full network.
+  /// their NIC, as they would in the full network. The host's access-link
+  /// pair is recorded, so RouteBetween finds it without a search.
   NodeId AttachHost(int i, Bpns access_rate, std::uint64_t endpoint_key,
                     Ns access_delay = 1000);
 
   /// Route from `src_host` joining the chain at node `i` to `dst_host`
   /// leaving at node `j` (i < j). If `src_host` IS chain node `i` (a
   /// hosts_at_ends endpoint) no ingress access link is used; likewise for
-  /// the egress side.
+  /// the egress side. Any other endpoint must be a host AttachHost made at
+  /// that node; otherwise its access hop is kInvalidLink.
   Route RouteBetween(NodeId src_host, int i, NodeId dst_host, int j) const;
 
  private:
+  // Access links of a host made by AttachHost: host -> chain node `at`
+  // (`up`) and back (`down`). `at` is -1 for every other node.
+  struct AccessLinks {
+    int at = -1;
+    LinkId up = kInvalidLink;
+    LinkId down = kInvalidLink;
+  };
+
+  // The access link `host` -> chain node `i` (`up`) or back; kInvalidLink
+  // unless AttachHost made `host` at node `i`.
+  LinkId AccessLink(NodeId host, int i, bool up) const;
+
   Topology topo_;
   std::vector<NodeId> switches_;
   std::vector<LinkId> path_links_;
   std::map<std::pair<std::uint64_t, int>, NodeId> attached_;
+  std::vector<AccessLinks> access_;  // by NodeId
 };
 
 }  // namespace m3

@@ -1,5 +1,6 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace m3 {
@@ -75,22 +76,6 @@ double Rng::Pareto(double xm, double alpha) noexcept {
   return xm / std::pow(u, 1.0 / alpha);
 }
 
-std::size_t Rng::WeightedIndex(const std::vector<double>& weights) noexcept {
-  double total = 0.0;
-  for (double w : weights) total += (w > 0.0 ? w : 0.0);
-  double target = NextDouble() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const double w = weights[i] > 0.0 ? weights[i] : 0.0;
-    if (target < w) return i;
-    target -= w;
-  }
-  // Floating-point slop: fall back to the last positive weight.
-  for (std::size_t i = weights.size(); i-- > 0;) {
-    if (weights[i] > 0.0) return i;
-  }
-  return 0;
-}
-
 RngState Rng::SaveState() const noexcept {
   return RngState{state_, inc_, seed_, cached_normal_, has_cached_normal_};
 }
@@ -106,6 +91,26 @@ void Rng::RestoreState(const RngState& s) noexcept {
 Rng Rng::Fork(std::uint64_t label) noexcept {
   SplitMix64 sm(seed_ ^ (label * 0x9e3779b97f4a7c15ULL + 0x632be59bd9b4e019ULL));
   return Rng(sm.Next());
+}
+
+WeightedSampler::WeightedSampler(const std::vector<double>& weights) {
+  prefix_.reserve(weights.size());
+  double total = 0.0;
+  for (double w : weights) {
+    total += (w > 0.0 ? w : 0.0);
+    prefix_.push_back(total);
+  }
+}
+
+std::size_t WeightedSampler::Draw(Rng& rng) const noexcept {
+  const double target = rng.NextDouble() * (prefix_.empty() ? 0.0 : prefix_.back());
+  const auto it = std::upper_bound(prefix_.begin(), prefix_.end(), target);
+  if (it != prefix_.end()) return static_cast<std::size_t>(it - prefix_.begin());
+  // Floating-point slop: fall back to the last positive weight.
+  for (std::size_t i = prefix_.size(); i-- > 0;) {
+    if (prefix_[i] > (i > 0 ? prefix_[i - 1] : 0.0)) return i;
+  }
+  return 0;
 }
 
 }  // namespace m3

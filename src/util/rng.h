@@ -75,10 +75,6 @@ class Rng {
   /// Pareto with scale xm > 0 and shape alpha > 0.
   double Pareto(double xm, double alpha) noexcept;
 
-  /// Samples an index in [0, weights.size()) with probability proportional
-  /// to weights[i]. Requires at least one strictly positive weight.
-  std::size_t WeightedIndex(const std::vector<double>& weights) noexcept;
-
   /// Derives an independent child generator; distinct labels give
   /// statistically independent streams.
   Rng Fork(std::uint64_t label) noexcept;
@@ -96,6 +92,25 @@ class Rng {
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
   std::uint64_t seed_;  // retained for Fork()
+};
+
+/// Draws indices in [0, weights.size()) with probability proportional to
+/// weights[i]; negative weights count as zero. The prefix sums are built
+/// once and each draw binary-searches them, consuming one NextDouble().
+/// Requires at least one strictly positive weight.
+///
+/// For integer-valued weights (total below 2^53) every partial sum is
+/// exact, so a draw picks exactly the index the sequential rule picks:
+/// subtract the weights in order from u * total and stop at the first one
+/// the remainder falls below.
+class WeightedSampler {
+ public:
+  explicit WeightedSampler(const std::vector<double>& weights);
+
+  std::size_t Draw(Rng& rng) const noexcept;
+
+ private:
+  std::vector<double> prefix_;  // prefix_[i] = sum of weights[0..i]
 };
 
 }  // namespace m3

@@ -4,6 +4,8 @@
 #include <map>
 #include <set>
 
+#include "core/estimator.h"
+#include "core/net_config.h"
 #include "pathdecomp/decompose.h"
 #include "pathdecomp/path_topology.h"
 #include "pathdecomp/sampling.h"
@@ -90,6 +92,32 @@ TEST(Decompose, BackgroundSetMatchesBruteForce) {
     std::set<FlowId> got;
     for (const BgFlowOnPath& bg : decomp.BackgroundFlows(i)) got.insert(bg.flow);
     EXPECT_EQ(got, expected) << "path " << i;
+  }
+}
+
+// Paths are numbered by the first flow on them: path 0 holds flow 0, and
+// every later path's first flow comes after every earlier path's. The
+// sampled indices, and so every answer, depend on this order.
+TEST(Decompose, PathsAreNumberedInFirstAppearanceOrder) {
+  const auto wl = SmallWorkload();
+  PathDecomposition decomp(SmallTree().topo(), wl.flows);
+  ASSERT_GT(decomp.num_paths(), 1u);
+  EXPECT_EQ(decomp.path(0).links, wl.flows[0].path);
+  std::size_t seen = 0;  // flows before the next path's first flow
+  for (std::size_t i = 0; i < decomp.num_paths(); ++i) {
+    const std::vector<FlowId>& fg = decomp.path(i).fg_flows;
+    ASSERT_FALSE(fg.empty());
+    EXPECT_TRUE(std::is_sorted(fg.begin(), fg.end())) << "path " << i;
+    const auto first = static_cast<std::size_t>(fg.front());
+    EXPECT_GE(first, seen) << "path " << i;
+    // No flow between the previous path's first flow and this one opens a
+    // new path, so every flow before `first` is on an earlier path.
+    for (std::size_t f = seen; f < first; ++f) {
+      bool earlier = false;
+      for (std::size_t j = 0; j < i && !earlier; ++j) earlier = decomp.path(j).links == wl.flows[f].path;
+      EXPECT_TRUE(earlier) << "flow " << f << " precedes path " << i << " but is on no earlier path";
+    }
+    seen = first + 1;
   }
 }
 
@@ -194,6 +222,41 @@ TEST(PathTopology, BothSimulatorsRunOnScenario) {
   }
   const auto fg = ForegroundSlowdowns(sc, pkt);
   EXPECT_EQ(fg.size(), sc.num_fg());
+}
+
+// Flow ids are labels chosen by the client (and the ECMP key when routes
+// are derived), not positions: the same flows with the same routes under
+// shifted, permuted or huge ids give a bitwise-equal answer.
+TEST(FlowId, RelabeledIdsGiveBitwiseEqualFlowSimOnlyAnswers) {
+  const auto wl = SmallWorkload(600, 13);
+  M3Options opts;
+  opts.num_paths = 16;
+  opts.num_threads = 1;
+  const NetworkEstimate base = RunFlowSimOnly(SmallTree().topo(), wl.flows, NetConfig{}, opts);
+  ASSERT_TRUE(base.status.ok()) << base.status.ToString();
+
+  Rng rng(17);
+  for (int mode = 0; mode < 4; ++mode) {
+    std::vector<Flow> flows = wl.flows;
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      const auto n = static_cast<FlowId>(flows.size());
+      const auto pos = static_cast<FlowId>(i);
+      flows[i].id = mode == 0   ? pos + 1
+                    : mode == 1 ? n - 1 - pos
+                    : mode == 2 ? 100000000 + 3 * pos
+                                : static_cast<FlowId>(rng.NextU32() >> 1);
+    }
+    const NetworkEstimate got = RunFlowSimOnly(SmallTree().topo(), flows, NetConfig{}, opts);
+    ASSERT_TRUE(got.status.ok()) << "mode " << mode << ": " << got.status.ToString();
+    ASSERT_EQ(got.paths.size(), base.paths.size());
+    for (std::size_t p = 0; p < got.paths.size(); ++p) {
+      EXPECT_EQ(got.paths[p].pct, base.paths[p].pct) << "mode " << mode << " path " << p;
+      EXPECT_EQ(got.paths[p].counts, base.paths[p].counts) << "mode " << mode << " path " << p;
+    }
+    EXPECT_EQ(got.bucket_pct, base.bucket_pct) << "mode " << mode;
+    EXPECT_EQ(got.total_counts, base.total_counts) << "mode " << mode;
+    EXPECT_EQ(got.combined_pct, base.combined_pct) << "mode " << mode;
+  }
 }
 
 }  // namespace

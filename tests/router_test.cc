@@ -628,6 +628,45 @@ TEST(RouterChaos, FaultFreeScatterIsBitwiseIdenticalToSingleDaemon) {
   EXPECT_EQ(ok, 6u);
 }
 
+// Flow ids are client-chosen labels (and the ECMP key), not positions: a
+// query whose ids all lie far past its flow count is answered, both on one
+// snapshot and through the router, which decomposes every query itself.
+QueryRequest HugeIdQuery() {
+  QueryRequest req = FleetQuery(6);
+  for (std::size_t i = 0; i < req.flows.size(); ++i) {
+    req.flows[i].id = 100000000 + static_cast<std::int32_t>(i);
+  }
+  return req;
+}
+
+QueryResponse HugeIdAnswerOnSnapshot() {
+  ModelRegistry reg(TinyModel());
+  EXPECT_TRUE(reg.Reload(TinyCheckpoint()).ok());
+  TopoMemo topos;
+  ExecContext ctx;
+  ctx.topos = &topos;
+  return ExecuteQueryOnSnapshot(HugeIdQuery(), *reg.Current(), ctx);
+}
+
+TEST(FlowId, HugeIdsAreAnsweredOnSnapshot) {
+  const QueryResponse resp = HugeIdAnswerOnSnapshot();
+  ASSERT_TRUE(resp.status.ok()) << resp.status.ToString();
+  EXPECT_EQ(resp.degradation.paths_ok, 6);
+}
+
+TEST(FlowId, HugeIdsAreAnsweredThroughRouter) {
+  const std::vector<std::string> paths = FleetPaths("fid", 2);
+  TestShard shards[2];
+  for (int i = 0; i < 2; ++i) shards[i].Start(paths[i]);
+  Router router(FastRouterOptions(paths));
+  ASSERT_TRUE(router.Start().ok());
+
+  const QueryResponse routed = router.Query(HugeIdQuery());
+  ASSERT_TRUE(routed.status.ok()) << routed.status.ToString();
+  EXPECT_EQ(routed.degradation.paths_ok, 6);
+  ExpectBitwiseEqual(routed, HugeIdAnswerOnSnapshot());
+}
+
 TEST(RouterChaos, ShardLossReroutesToReplicasWithoutDegradation) {
   const std::vector<std::string> paths = FleetPaths("rc_loss", 3);
   TestShard shards[3];

@@ -111,9 +111,9 @@ TEST(Rng, LogNormalMeanMatches) {
 
 TEST(Rng, WeightedIndexFollowsWeights) {
   Rng r(23);
-  std::vector<double> w{1.0, 0.0, 3.0};
+  const WeightedSampler sampler({1.0, 0.0, 3.0});
   std::vector<int> counts(3, 0);
-  for (int i = 0; i < 40000; ++i) counts[r.WeightedIndex(w)]++;
+  for (int i = 0; i < 40000; ++i) counts[sampler.Draw(r)]++;
   EXPECT_EQ(counts[1], 0);
   EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.3);
 }

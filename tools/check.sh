@@ -39,11 +39,18 @@ cmake -B build -S . "$@"
 cmake --build build -j"$JOBS"
 ctest --test-dir build --output-on-failure -j"$JOBS"
 
-echo "== ASan: checkpoint/trainer/wire-decoder robustness suites =="
+# The cold-path suites (flowSim, decomposition, sampling, path scenarios,
+# their differential oracles, the golden answers and the client flow-id
+# suites) ride along in this tier and the UBSan one: their index
+# arithmetic over CSR offsets, link slots and hop masks is where an
+# out-of-bounds read would hide.
+COLD_PATH='FlowSim|PriorityFlowSim|Decompose|Sampling|PathTopology|FlowSimOracle|DecomposeOracle|SamplingOracle|GoldenAnswers|FlowId'
+
+echo "== ASan: checkpoint/trainer/wire-decoder robustness + cold-path suites =="
 cmake -B build-asan -S . -DM3_SANITIZE=address "$@"
 cmake --build build-asan -j"$JOBS" --target m3_tests
 ctest --test-dir build-asan --output-on-failure -j"$JOBS" \
-  -R 'CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist|Wire\.|OverloadWire|CacheKey'
+  -R "CheckpointV2|Checkpoint\.|Resume|Trainer|ThreadPool|Persist|Wire\.|OverloadWire|CacheKey|$COLD_PATH"
 
 echo "== kernels: SIMD parity suites under ASan+UBSan for every M3_KERNEL =="
 # Every dispatchable tier (including forced-but-unavailable values, which
@@ -62,11 +69,11 @@ for kernel_impl in naive tiled avx2 avx512; do
   done
 done
 
-echo "== UBSan: resilience / fault-injection suites =="
+echo "== UBSan: resilience / fault-injection + cold-path suites =="
 cmake -B build-ubsan -S . -DM3_SANITIZE=undefined "$@"
 cmake --build build-ubsan -j"$JOBS" --target m3_tests
 ctest --test-dir build-ubsan --output-on-failure -j"$JOBS" \
-  -R 'Status|FaultRegistry|Validate|EstimatorResilience|AggregationGuard|CheckpointResilience|TraceIo|Wire\.|OverloadWire|ShardWire|CacheKey'
+  -R "Status|FaultRegistry|Validate|EstimatorResilience|AggregationGuard|CheckpointResilience|TraceIo|Wire\.|OverloadWire|ShardWire|CacheKey|$COLD_PATH"
 
 echo "== TSan: serving / hot-reload / scheduler suites =="
 cmake -B build-tsan -S . -DM3_SANITIZE=thread "$@"
