@@ -5,6 +5,7 @@
 
 #include "core/scenario.h"
 #include "flowsim/flowsim.h"
+#include "pathdecomp/path_network.h"
 #include "pktsim/simulator.h"
 
 namespace m3 {
@@ -26,7 +27,7 @@ PathScenario MakeScenario(int num_fg) {
 void BM_FlowSim(benchmark::State& state) {
   const PathScenario sc = MakeScenario(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RunFlowSim(sc.lot->topo(), sc.flows));
+    benchmark::DoNotOptimize(RunPathFlowSim(sc));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(sc.flows.size()));
@@ -34,23 +35,23 @@ void BM_FlowSim(benchmark::State& state) {
 BENCHMARK(BM_FlowSim)->Arg(500)->Arg(2000)->Arg(8000)->Unit(benchmark::kMillisecond);
 
 void BM_PacketSim(benchmark::State& state) {
-  const PathScenario sc = MakeScenario(static_cast<int>(state.range(0)));
+  const PathNetwork net = BuildPathNetwork(MakeScenario(static_cast<int>(state.range(0))));
   NetConfig cfg;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RunPacketSim(sc.lot->topo(), sc.flows, cfg));
+    benchmark::DoNotOptimize(RunPacketSim(net.lot.topo(), net.flows, cfg));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(sc.flows.size()));
+                          static_cast<std::int64_t>(net.flows.size()));
 }
 BENCHMARK(BM_PacketSim)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
 
 void BM_MaxMinRecompute(benchmark::State& state) {
-  // Isolated cost of one arrival event at high active-flow counts.
-  const PathScenario sc = MakeScenario(static_cast<int>(state.range(0)));
-  std::vector<Flow> burst = sc.flows;
-  for (auto& f : burst) f.arrival = 0;  // all flows active at once
+  // Isolated cost of one arrival event at high active-flow counts, through
+  // the generic Topology adapter.
+  PathNetwork net = BuildPathNetwork(MakeScenario(static_cast<int>(state.range(0))));
+  for (auto& f : net.flows) f.arrival = 0;  // all flows active at once
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RunFlowSim(sc.lot->topo(), burst));
+    benchmark::DoNotOptimize(RunFlowSim(net.lot.topo(), net.flows));
   }
 }
 BENCHMARK(BM_MaxMinRecompute)->Arg(200)->Arg(500)->Unit(benchmark::kMillisecond);

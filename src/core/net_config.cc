@@ -7,24 +7,21 @@ namespace m3 {
 PathSpecInfo ComputePathSpec(const PathScenario& scenario, const NetConfig& cfg) {
   PathSpecInfo info;
   info.num_links = scenario.num_links;
-  const Topology& topo = scenario.lot->topo();
 
-  // The foreground route runs over the chain links 0..n-1.
-  Route fg_route;
-  fg_route.reserve(static_cast<std::size_t>(scenario.num_links));
-  for (int i = 0; i < scenario.num_links; ++i) fg_route.push_back(scenario.lot->path_link(i));
-
+  // The foreground route runs over the chain hops 0..n-1; each hop's ACK
+  // link has the same rate and delay.
   Ns rtt = 0;
-  for (LinkId l : fg_route) {
-    const Link& lk = topo.link(l);
-    rtt += lk.delay + TransmissionTime(cfg.mtu + cfg.hdr, lk.rate);
-    const LinkId rev = topo.ReverseLink(l);
-    const Link& rlk = topo.link(rev);
-    rtt += rlk.delay + TransmissionTime(cfg.hdr, rlk.rate);
+  Bpns min_rate = 0.0;
+  for (int h = 0; h < scenario.num_links; ++h) {
+    const Bpns rate = scenario.hop_rate[static_cast<std::size_t>(h)];
+    const Ns delay = scenario.hop_delay[static_cast<std::size_t>(h)];
+    rtt += delay + TransmissionTime(cfg.mtu + cfg.hdr, rate);
+    rtt += delay + TransmissionTime(cfg.hdr, rate);
+    if (h == 0 || rate < min_rate) min_rate = rate;
   }
   info.base_rtt = rtt;
-  info.min_rate = topo.RouteMinRate(fg_route);
-  info.bdp = static_cast<Bytes>(topo.link(fg_route.front()).rate * static_cast<double>(rtt));
+  info.min_rate = min_rate;
+  info.bdp = static_cast<Bytes>(scenario.hop_rate.front() * static_cast<double>(rtt));
   info.num_fg = static_cast<double>(scenario.num_fg());
   return info;
 }

@@ -46,27 +46,17 @@ PathScenario BuildSyntheticScenario(const SyntheticSpec& spec) {
   if (fast_core) {
     for (int i = 1; i + 1 < n; ++i) rates[static_cast<std::size_t>(i)] = GbpsToBpns(40.0);
   }
-  std::vector<Ns> delays(static_cast<std::size_t>(n), 1000);
 
   PathScenario sc;
   sc.num_links = n;
-  sc.lot = std::make_unique<ParkingLot>(rates, delays, /*hosts_at_ends=*/true);
-  ParkingLot& lot = *sc.lot;
-  const NodeId head = lot.switch_at(0);
-  const NodeId tail = lot.switch_at(n);
+  sc.hop_rate = rates;
+  sc.hop_delay.assign(static_cast<std::size_t>(n), 1000);
 
   const auto sizes = MakeParametric(spec.family, spec.theta);
 
   // Foreground flows.
-  const Route fg_route = lot.RouteBetween(head, 0, tail, n);
   for (int i = 0; i < spec.num_fg; ++i) {
-    Flow f;
-    f.id = static_cast<FlowId>(sc.flows.size());
-    f.src = head;
-    f.dst = tail;
-    f.size = sizes->Sample(size_rng);
-    f.path = fg_route;
-    sc.flows.push_back(std::move(f));
+    sc.flows.push_back(ChainFlow{sizes->Sample(size_rng), 0, 0, -1, -1});
     sc.is_fg.push_back(1);
     sc.orig_id.push_back(-1);
     sc.entry_hop.push_back(0);
@@ -75,6 +65,7 @@ PathScenario BuildSyntheticScenario(const SyntheticSpec& spec) {
 
   // Background flows over random non-full spans.
   const int num_bg = static_cast<int>(spec.bg_ratio * spec.num_fg);
+  AccessLinkTable access(2 * static_cast<std::size_t>(num_bg));
   for (int i = 0; i < num_bg; ++i) {
     int entry = 0, exit = n;
     // Rejection-sample a span that is not the full path. Always succeeds
@@ -87,15 +78,11 @@ PathScenario BuildSyntheticScenario(const SyntheticSpec& spec) {
 
     const std::uint64_t src_key = 1000 + span_rng.NextBounded(64);  // a pool of
     const std::uint64_t dst_key = 2000 + span_rng.NextBounded(64);  // 64 endpoints
-    const NodeId src = entry == 0 ? head : lot.AttachHost(entry, host_rate, src_key);
-    const NodeId dst = exit == n ? tail : lot.AttachHost(exit, host_rate, dst_key);
-    Flow f;
-    f.id = static_cast<FlowId>(sc.flows.size());
-    f.src = src;
-    f.dst = dst;
+    ChainFlow f{0, 0, 0, -1, -1};
+    if (entry != 0) f.src_access = access.Attach(sc, entry, host_rate, src_key);
+    if (exit != n) f.dst_access = access.Attach(sc, exit, host_rate, dst_key);
     f.size = sizes->Sample(size_rng);
-    f.path = lot.RouteBetween(src, entry, dst, exit);
-    sc.flows.push_back(std::move(f));
+    sc.flows.push_back(f);
     sc.is_fg.push_back(0);
     sc.orig_id.push_back(-1);
     sc.entry_hop.push_back(entry);

@@ -1,6 +1,7 @@
 #include "core/validate.h"
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 namespace m3 {
@@ -152,12 +153,29 @@ Status ValidateM3Options(const M3Options& opts) {
 }
 
 Status ValidatePathScenario(const PathScenario& scenario) {
-  if (scenario.lot == nullptr) {
-    return Status::InvalidArgument("scenario.lot: null");
-  }
   if (scenario.num_links < 1) {
     return BadField("scenario.num_links", std::to_string(scenario.num_links),
                     "must be >= 1");
+  }
+  const auto hops = static_cast<std::size_t>(scenario.num_links);
+  if (scenario.hop_rate.size() != hops || scenario.hop_delay.size() != hops) {
+    return Status::InvalidArgument(
+        "scenario: per-hop arrays disagree with num_links=" + std::to_string(hops) +
+        " (hop_rate=" + std::to_string(scenario.hop_rate.size()) +
+        " hop_delay=" + std::to_string(scenario.hop_delay.size()) + ")");
+  }
+  const std::size_t num_access = scenario.access_hop.size();
+  if (scenario.access_rate.size() != num_access) {
+    return Status::InvalidArgument(
+        "scenario: access arrays disagree (access_hop=" + std::to_string(num_access) +
+        " access_rate=" + std::to_string(scenario.access_rate.size()) + ")");
+  }
+  for (std::size_t a = 0; a < num_access; ++a) {
+    if (scenario.access_hop[a] <= 0 || scenario.access_hop[a] >= scenario.num_links) {
+      return BadField(Idx("scenario.access", a, "hop"),
+                      std::to_string(scenario.access_hop[a]),
+                      "must be an interior chain node, in (0, num_links)");
+    }
   }
   const std::size_t n = scenario.flows.size();
   if (scenario.is_fg.size() != n || scenario.orig_id.size() != n ||
@@ -169,14 +187,29 @@ Status ValidatePathScenario(const PathScenario& scenario) {
         " entry_hop=" + std::to_string(scenario.entry_hop.size()) +
         " exit_hop=" + std::to_string(scenario.exit_hop.size()) + ")");
   }
+  // An end of a flow's span is a chain end (no access link) or an access
+  // link attached at exactly that chain node.
+  const auto attaches = [&](std::int32_t access, int hop, int chain_end) {
+    if (hop == chain_end) return access == -1;
+    return access >= 0 && static_cast<std::size_t>(access) < num_access &&
+           scenario.access_hop[static_cast<std::size_t>(access)] == hop;
+  };
   for (std::size_t i = 0; i < n; ++i) {
-    if (scenario.entry_hop[i] < 0 || scenario.exit_hop[i] > scenario.num_links ||
-        scenario.entry_hop[i] >= scenario.exit_hop[i]) {
+    const int entry = scenario.entry_hop[i];
+    const int exit = scenario.exit_hop[i];
+    if (entry < 0 || exit > scenario.num_links || entry >= exit) {
       return Status::InvalidArgument(
-          Idx("scenario.flows", i, "hop_span") + ": [" +
-          std::to_string(scenario.entry_hop[i]) + ", " +
-          std::to_string(scenario.exit_hop[i]) + ") not a non-empty span within [0, " +
+          Idx("scenario.flows", i, "hop_span") + ": [" + std::to_string(entry) + ", " +
+          std::to_string(exit) + ") not a non-empty span within [0, " +
           std::to_string(scenario.num_links) + "]");
+    }
+    const ChainFlow& f = scenario.flows[i];
+    if (!attaches(f.src_access, entry, 0) ||
+        !attaches(f.dst_access, exit, scenario.num_links)) {
+      return Status::InvalidArgument(
+          Idx("scenario.flows", i, "access") + ": src " + std::to_string(f.src_access) +
+          " / dst " + std::to_string(f.dst_access) + " do not attach at span [" +
+          std::to_string(entry) + ", " + std::to_string(exit) + ")");
     }
   }
   return Status::Ok();

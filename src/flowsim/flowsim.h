@@ -7,6 +7,7 @@
 // whose output m3's ML model corrects (§3.3).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "topo/topology.h"
@@ -21,12 +22,34 @@ struct FlowSimOptions {
   Bytes hdr = 48;
 };
 
-/// Runs flowSim over `flows` on `topo`. Returns one result per flow, in the
-/// same order as the input. Each flow must have a non-empty, valid path.
+/// The compact input flowSim runs on: link rates and delays by dense link
+/// index, and every flow's route as a CSR span of those indices. The run
+/// numbers the links it meets by first use along the active flows' routes,
+/// so relabelling links changes no result.
+struct FlowSimInput {
+  struct FlowSpec {
+    FlowId id = 0;  // copied into FlowResult::id
+    Bytes size = 0;
+    Ns arrival = 0;
+    std::uint8_t priority = 0;
+  };
+  std::vector<Bpns> link_rate;
+  std::vector<Ns> link_delay;
+  std::vector<FlowSpec> flows;
+  // Flow i's route, in order: route_links[route_begin[i], route_begin[i + 1]).
+  std::vector<std::uint32_t> route_begin{0};
+  std::vector<std::int32_t> route_links;
+};
+
+/// Runs flowSim over `in`. Returns one result per flow, in input order.
+/// Each flow must have a non-empty route and a positive size.
 ///
 /// FCT model: fluid completion time plus a path-specific base-latency term
 /// chosen so that a flow alone on its path gets exactly IdealFct (hence
 /// slowdown exactly 1 when unloaded).
+std::vector<FlowResult> RunFlowSim(const FlowSimInput& in, const FlowSimOptions& opts = {});
+
+/// flowSim over `flows` routed in `topo` (links keep their LinkId).
 std::vector<FlowResult> RunFlowSim(const Topology& topo, const std::vector<Flow>& flows,
                                    const FlowSimOptions& opts = {});
 

@@ -10,21 +10,21 @@ namespace m3 {
 namespace {
 
 struct LinkDelta {
-  FlowId flow;
+  std::size_t flow;  // position in the input flows
   Ns delta;  // FCT - ideal in the link-level simulation (>= 0)
 };
 
 // Simulates one link with all its flows; returns per-flow extra delay.
 std::vector<LinkDelta> SimulateLink(const Topology& topo, const std::vector<Flow>& flows,
-                                    LinkId link, const std::vector<FlowId>& on_link,
+                                    LinkId link, const std::vector<std::size_t>& on_link,
                                     const NetConfig& cfg) {
   const Link& lk = topo.link(link);
   ParkingLot lot({lk.rate}, {lk.delay});
 
   std::vector<Flow> local;
   local.reserve(on_link.size());
-  for (FlowId id : on_link) {
-    const Flow& orig = flows[static_cast<std::size_t>(id)];
+  for (std::size_t pos : on_link) {
+    const Flow& orig = flows[pos];
     // Preserve the flow's end-to-end base RTT by splitting the remaining
     // path propagation across the two access links, so transport-limited
     // behavior (window vs. RTT) matches the full network.
@@ -57,10 +57,10 @@ std::vector<LinkDelta> SimulateLink(const Topology& topo, const std::vector<Flow
 
 std::vector<FlowResult> RunParsimon(const Topology& topo, const std::vector<Flow>& flows,
                                     const ParsimonOptions& opts) {
-  // Index flows by link.
-  std::vector<std::vector<FlowId>> link_flows(topo.num_links());
-  for (const Flow& f : flows) {
-    for (LinkId l : f.path) link_flows[static_cast<std::size_t>(l)].push_back(f.id);
+  // Index flows by link, by position: ids are client labels.
+  std::vector<std::vector<std::size_t>> link_flows(topo.num_links());
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    for (LinkId l : flows[i].path) link_flows[static_cast<std::size_t>(l)].push_back(i);
   }
   std::vector<LinkId> active_links;
   for (std::size_t l = 0; l < link_flows.size(); ++l) {
@@ -83,7 +83,7 @@ std::vector<FlowResult> RunParsimon(const Topology& topo, const std::vector<Flow
   std::vector<Ns> delta_sum(flows.size(), 0);
   for (const auto& deltas : per_link) {
     for (const LinkDelta& d : deltas) {
-      delta_sum[static_cast<std::size_t>(d.flow)] += d.delta;
+      delta_sum[d.flow] += d.delta;
     }
   }
 

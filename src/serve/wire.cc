@@ -13,9 +13,10 @@ namespace m3::serve {
 namespace {
 
 // Cache-key schema tags: bump when the hashed field set changes so old and
-// new processes can never alias keys. v2 query key: + topology shape.
+// new processes can never alias keys. v2 query key: + topology shape. v2
+// path key: the flat scenario columns instead of the lot's links and routes.
 constexpr const char* kQueryKeySchema = "m3d/query-key/v2";
-constexpr const char* kPathKeySchema = "m3d/path-key/v1";
+constexpr const char* kPathKeySchema = "m3d/path-key/v2";
 
 // Upper bound on decoded string lengths (pure overread/OOM protection).
 constexpr std::uint64_t kMaxStrLen = 1u << 20;
@@ -549,23 +550,36 @@ Hash128 PathCacheKey(const PathScenario& scenario, const NetConfig& cfg,
   h.U64(model_digest.hi).U64(model_digest.lo);
   h.Bool(use_context);
   (void)Field(k, Mut(cfg));
+  // The flat columns pin the chain, the access links and every flow's span
+  // and ends; a flow's route follows from them.
   h.I32(scenario.num_links);
-  // Lot geometry: node/link numbering is deterministic in construction
-  // order, so hashing every link pins rates, delays, and wiring.
-  const Topology& topo = scenario.lot->topo();
-  h.U64(topo.num_links());
-  for (std::size_t l = 0; l < topo.num_links(); ++l) {
-    const Link& link = topo.link(static_cast<LinkId>(l));
-    h.I32(link.src).I32(link.dst).F64(link.rate).I64(link.delay);
+  for (int hop = 0; hop < scenario.num_links; ++hop) {
+    h.F64(scenario.hop_rate[static_cast<std::size_t>(hop)])
+        .I64(scenario.hop_delay[static_cast<std::size_t>(hop)]);
+  }
+  h.U64(scenario.access_hop.size());
+  for (std::size_t a = 0; a < scenario.access_hop.size(); ++a) {
+    h.I32(scenario.access_hop[a]).F64(scenario.access_rate[a]);
   }
   h.U64(scenario.flows.size());
   for (std::size_t i = 0; i < scenario.flows.size(); ++i) {
-    const Flow& f = scenario.flows[i];
-    h.I32(f.src).I32(f.dst).I64(f.size).I64(f.arrival).U8(f.priority);
-    h.Bool(scenario.is_fg[i] != 0);
-    h.I32(scenario.entry_hop[i]).I32(scenario.exit_hop[i]);
-    h.U64(f.path.size());
-    for (LinkId l : f.path) h.I32(l);
+    // One 34-byte record per flow: the bytes I64 size, I64 arrival, U8
+    // priority, Bool is_fg and I32 entry, exit, src_access, dst_access would
+    // absorb one field at a time.
+    const ChainFlow& f = scenario.flows[i];
+    unsigned char rec[34];
+    const auto put = [&rec](std::size_t at, const auto& v) {
+      std::memcpy(rec + at, &v, sizeof v);
+    };
+    put(0, f.size);
+    put(8, f.arrival);
+    rec[16] = f.priority;
+    rec[17] = scenario.is_fg[i] != 0 ? 1 : 0;
+    put(18, static_cast<std::int32_t>(scenario.entry_hop[i]));
+    put(22, static_cast<std::int32_t>(scenario.exit_hop[i]));
+    put(26, f.src_access);
+    put(30, f.dst_access);
+    h.Bytes(rec, sizeof rec);
   }
   return k.sink.Finish();
 }

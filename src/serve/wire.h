@@ -27,9 +27,9 @@
 //                 flows (id, src, dst, size, arrival, priority))
 //   path key  = H(schema tag, model digest, use_context,
 //                 NetConfig (every field), path scenario content: chain
-//                 length, every lot link (src, dst, rate, delay), every
-//                 flow (endpoints, route, size, arrival, priority, fg/bg,
-//                 entry/exit hop))
+//                 length, every hop (rate, delay), every access link (hop,
+//                 rate), every flow (size, arrival, priority, fg/bg,
+//                 entry/exit hop, src/dst access link))
 //
 // Deliberately *excluded* from both keys: strict, deadline_seconds,
 // max_attempts (they shape fault handling, not the fault-free answer — and

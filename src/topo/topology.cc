@@ -1,7 +1,5 @@
 #include "topo/topology.h"
 
-#include <algorithm>
-
 namespace m3 {
 
 NodeId Topology::AddNode(NodeKind kind) {
@@ -67,25 +65,9 @@ bool Topology::ValidateRoute(NodeId src, NodeId dst, const Route& route) const {
 
 Ns IdealFct(const Topology& topo, const Route& route, Bytes size, Bytes mtu,
             Bytes hdr) {
-  if (route.empty() || size <= 0) return 0;
-  const Bytes first_payload = std::min(size, mtu);
-  Ns fct = 0;
-  // First packet: store-and-forward through every hop.
-  for (LinkId l : route) {
-    const Link& lk = topo.link(l);
-    fct += lk.delay + TransmissionTime(first_payload + hdr, lk.rate);
-  }
-  // Remaining bytes stream behind the first packet at the bottleneck rate,
-  // one MTU-sized frame at a time (last frame may be short).
-  Bytes remaining = size - first_payload;
-  if (remaining > 0) {
-    const Bpns bottleneck = topo.RouteMinRate(route);
-    const Bytes full_frames = remaining / mtu;
-    const Bytes tail = remaining % mtu;
-    fct += full_frames * TransmissionTime(mtu + hdr, bottleneck);
-    if (tail > 0) fct += TransmissionTime(tail + hdr, bottleneck);
-  }
-  return fct;
+  return IdealFctOver(
+      route.size(), [&](std::size_t k) { return topo.link(route[k]).rate; },
+      [&](std::size_t k) { return topo.link(route[k]).delay; }, size, mtu, hdr);
 }
 
 }  // namespace m3

@@ -2,6 +2,8 @@
 // links. Duplex cables are modeled as a pair of unidirectional links.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -74,5 +76,33 @@ class Topology {
 /// Both the packet simulator and flowSim normalize slowdowns by this value.
 Ns IdealFct(const Topology& topo, const Route& route, Bytes size, Bytes mtu = 1000,
             Bytes hdr = 48);
+
+/// IdealFct over a route of `hops` links given in route order by
+/// `rate_at(k)` and `delay_at(k)`. IdealFct and flowSim's compact input
+/// both sum through it, so the two agree bit for bit.
+template <class RateAt, class DelayAt>
+Ns IdealFctOver(std::size_t hops, RateAt rate_at, DelayAt delay_at, Bytes size, Bytes mtu,
+                Bytes hdr) {
+  if (hops == 0 || size <= 0) return 0;
+  const Bytes first_payload = std::min(size, mtu);
+  Ns fct = 0;
+  Bpns bottleneck = 0.0;
+  // First packet: store-and-forward through every hop.
+  for (std::size_t k = 0; k < hops; ++k) {
+    const Bpns rate = rate_at(k);
+    fct += delay_at(k) + TransmissionTime(first_payload + hdr, rate);
+    if (k == 0 || rate < bottleneck) bottleneck = rate;
+  }
+  // Remaining bytes stream behind the first packet at the bottleneck rate,
+  // one MTU-sized frame at a time (last frame may be short).
+  const Bytes remaining = size - first_payload;
+  if (remaining > 0) {
+    const Bytes full_frames = remaining / mtu;
+    const Bytes tail = remaining % mtu;
+    fct += full_frames * TransmissionTime(mtu + hdr, bottleneck);
+    if (tail > 0) fct += TransmissionTime(tail + hdr, bottleneck);
+  }
+  return fct;
+}
 
 }  // namespace m3

@@ -18,10 +18,13 @@
 #include <signal.h>
 #include <sys/types.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <set>
 #include <thread>
 #include <vector>
@@ -500,14 +503,34 @@ TEST(ChaosSoak, ExternalKillStormUnderConcurrentLoadAnswersEverything) {
   ASSERT_TRUE(WaitFor([&] { return sup->stats().alive == 3; },
                       std::chrono::milliseconds(5000)));
 
+  // An unkilled warm-up measures this build's query time. A sanitized
+  // query can outlast a 20 ms kill interval, so that every attempt lands on
+  // a killed worker; killing every max(20 ms, 3x median query) keeps the
+  // storm dense in every build without outrunning the queries.
+  std::vector<double> warm_ms;
+  for (int q = 0; q < 7; ++q) {
+    QueryRequest req = SmallQuery(static_cast<std::uint64_t>(1000 + q));
+    req.no_cache = true;
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(svc.Query(req).status.ok());
+    warm_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count());
+  }
+  std::sort(warm_ms.begin(), warm_ms.end());
+  const auto kill_every = std::chrono::milliseconds(
+      std::max(20, static_cast<int>(std::ceil(3.0 * warm_ms[warm_ms.size() / 2]))));
+  std::printf("kill storm: median warm query %.2f ms, one kill every %lld ms\n",
+              warm_ms[warm_ms.size() / 2], static_cast<long long>(kill_every.count()));
+
   std::atomic<bool> stop_killer{false};
   std::thread killer([&] {
-    // Kill a worker every 20ms for the duration of the load — many
+    // Kill a worker every `kill_every` for the duration of the load — many
     // pool-widths of deaths.
     while (!stop_killer.load(std::memory_order_relaxed)) {
       const std::vector<pid_t> pids = sup->worker_pids();
       if (!pids.empty()) ::kill(pids.front(), SIGKILL);
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      std::this_thread::sleep_for(kill_every);
     }
   });
 

@@ -7,6 +7,7 @@
 #include "core/estimator.h"
 #include "core/model.h"
 #include "core/scenario.h"
+#include "pathdecomp/path_network.h"
 #include "core/trainer.h"
 #include "topo/fat_tree.h"
 #include "workload/generator.h"
@@ -125,8 +126,10 @@ TEST(Scenario, RespectsSpecShape) {
   EXPECT_EQ(sc.num_links, 6);
   EXPECT_EQ(sc.num_fg(), 100u);
   EXPECT_EQ(sc.flows.size(), 300u);
+  const PathNetwork net = BuildPathNetwork(sc);
   for (std::size_t i = 0; i < sc.flows.size(); ++i) {
-    EXPECT_TRUE(sc.lot->topo().ValidateRoute(sc.flows[i].src, sc.flows[i].dst, sc.flows[i].path));
+    const Flow& f = net.flows[i];
+    EXPECT_TRUE(net.lot.topo().ValidateRoute(f.src, f.dst, f.path));
     if (!sc.is_fg[i]) {
       EXPECT_FALSE(sc.entry_hop[i] == 0 && sc.exit_hop[i] == 6)
           << "background flow covering the whole path";
@@ -154,9 +157,9 @@ TEST(Scenario, LoadScalingHitsTarget) {
     }
     double max_load = 0.0;
     for (int h = 0; h < 2; ++h) {
-      const Link& l = sc.lot->topo().link(sc.lot->path_link(h));
       max_load = std::max(max_load, bytes[static_cast<std::size_t>(h)] /
-                                        (l.rate * static_cast<double>(horizon)));
+                                        (sc.hop_rate[static_cast<std::size_t>(h)] *
+                                         static_cast<double>(horizon)));
     }
     EXPECT_NEAR(max_load, load, load * 0.1);
   }

@@ -99,7 +99,9 @@ TEST(GoldenAnswers, FleetShape) {
 }
 
 // The router places each sampled path by its zero-digest PathCacheKey, so
-// the scenarios themselves (lot wiring, flow order, spans) are pinned too.
+// the scenarios themselves (chain, access links, flow order, spans) are
+// pinned too. Pinned under m3d/path-key/v2; ScenarioOracle checks that v2
+// groups scenarios exactly as v1 did.
 TEST(GoldenAnswers, FleetShapePathCacheKeys) {
   const GoldenQuery q = FleetShapeQuery();
   const PathDecomposition decomp(q.ft->topo(), q.flows);
@@ -111,7 +113,7 @@ TEST(GoldenAnswers, FleetShapePathCacheKeys) {
     const Hash128 key = serve::PathCacheKey(sc, NetConfig{}, true, Hash128{});
     h.U64(key.hi).U64(key.lo);
   }
-  EXPECT_EQ(h.Finish().ToHex(), "d4394a0e3d9660f628cf374d5e19b9b3");
+  EXPECT_EQ(h.Finish().ToHex(), "de4d25e7853a1a726f115fb8ceb72ad9");
 }
 
 // Table 1 Mix 3 at paper shape (20k flows), trimmed to 40 sampled paths.

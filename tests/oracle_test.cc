@@ -1,20 +1,30 @@
 // Differential oracles for the estimator's cold path: flowSim, the path
-// decomposition and the weighted path draw, each fuzzed bitwise against
-// the straightforward implementation it replaced (tests/reference.h).
+// decomposition, the weighted path draw and the flat path scenario, each
+// fuzzed bitwise against the straightforward implementation it replaced
+// (tests/reference.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <map>
 #include <memory>
 #include <numeric>
 
+#include "core/dataset.h"
+#include "core/net_config.h"
+#include "core/validate.h"
 #include "pathdecomp/decompose.h"
+#include "pathdecomp/path_network.h"
 #include "pathdecomp/path_topology.h"
 #include "pathdecomp/sampling.h"
+#include "pktsim/simulator.h"
 #include "reference.h"
+#include "serve/wire.h"
 #include "topo/fat_tree.h"
 #include "topo/parking_lot.h"
 #include "workload/generator.h"
 #include "workload/size_dist.h"
+#include "workload/traffic_matrix.h"
 
 namespace m3 {
 namespace {
@@ -168,8 +178,9 @@ TEST(DecomposeOracle, IndexMatchesFullScanReference) {
     // Scenarios cut from the fat tree (shared access links, many hosts):
     // flowSim against the reference on a few of them.
     for (std::size_t p = 0; p < decomp.num_paths(); p += 1 + decomp.num_paths() / 4) {
-      const PathScenario sc = BuildPathScenario(ft.topo(), flows, decomp, p);
-      ExpectSameResults(RunPathFlowSim(sc), reference::RunFlowSim(sc.lot->topo(), sc.flows));
+      const reference::LotScenario sc = reference::BuildPathScenario(ft.topo(), flows, decomp, p);
+      ExpectSameResults(RunFlowSim(sc.lot->topo(), sc.flows),
+                        reference::RunFlowSim(sc.lot->topo(), sc.flows));
     }
   }
 }
@@ -212,6 +223,216 @@ TEST(SamplingOracle, SamplePathsMatchesSequentialRule) {
   for (std::size_t i = 0; i < sample.size(); ++i) {
     ASSERT_EQ(sample[i], reference::WeightedIndex(weights, b)) << "draw " << i;
   }
+}
+
+// ------------------------------------------------------ flat scenarios ---
+
+// A query's flows on its fat tree.
+struct OracleQuery {
+  std::shared_ptr<const FatTree> ft;
+  std::vector<Flow> flows;
+};
+
+OracleQuery MakeOracleQuery(const FatTreeConfig& topo, const char* tm, int num_flows,
+                            std::uint64_t seed) {
+  OracleQuery q;
+  q.ft = std::make_shared<const FatTree>(topo);
+  const auto matrix =
+      TrafficMatrix::ByName(tm, q.ft->num_racks(), q.ft->config().racks_per_pod);
+  WorkloadSpec spec;
+  spec.num_flows = num_flows;
+  spec.seed = seed;
+  q.flows = GenerateWorkload(*q.ft, matrix, *MakeWebServer(), spec).flows;
+  return q;
+}
+
+// The fleet serving shape: 1200 flows on a 64-host two-pod tree.
+OracleQuery FleetShapeOracleQuery() {
+  FatTreeConfig topo = FatTreeConfig::Large(2.0);
+  topo.pods = 2;
+  topo.racks_per_pod = 8;
+  topo.hosts_per_rack = 4;
+  return MakeOracleQuery(topo, "B", 1200, 900101);
+}
+
+void ExpectSameTensor(const ml::Tensor& got, const ml::Tensor& want, const char* what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0) << what;
+}
+
+// The packet-level network built from the flat columns is the reference
+// lot, link for link and flow for flow.
+void ExpectSameNetwork(const PathNetwork& got, const reference::LotScenario& want) {
+  const Topology& a = got.lot.topo();
+  const Topology& b = want.lot->topo();
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  ASSERT_EQ(a.num_links(), b.num_links());
+  for (std::size_t n = 0; n < a.num_nodes(); ++n) {
+    EXPECT_EQ(a.kind(static_cast<NodeId>(n)), b.kind(static_cast<NodeId>(n))) << "node " << n;
+  }
+  for (std::size_t l = 0; l < a.num_links(); ++l) {
+    const Link& x = a.link(static_cast<LinkId>(l));
+    const Link& y = b.link(static_cast<LinkId>(l));
+    EXPECT_EQ(x.src, y.src) << "link " << l;
+    EXPECT_EQ(x.dst, y.dst) << "link " << l;
+    EXPECT_EQ(x.rate, y.rate) << "link " << l;
+    EXPECT_EQ(x.delay, y.delay) << "link " << l;
+  }
+  ASSERT_EQ(got.flows.size(), want.flows.size());
+  for (std::size_t i = 0; i < got.flows.size(); ++i) {
+    const Flow& x = got.flows[i];
+    const Flow& y = want.flows[i];
+    EXPECT_EQ(x.id, y.id) << "flow " << i;
+    EXPECT_EQ(x.src, y.src) << "flow " << i;
+    EXPECT_EQ(x.dst, y.dst) << "flow " << i;
+    EXPECT_EQ(x.size, y.size) << "flow " << i;
+    EXPECT_EQ(x.arrival, y.arrival) << "flow " << i;
+    EXPECT_EQ(x.priority, y.priority) << "flow " << i;
+    EXPECT_EQ(x.path, y.path) << "flow " << i;
+  }
+}
+
+// Everything the estimator reads from one path, flat against the lot.
+void ExpectScenarioMatchesReference(const OracleQuery& q, const PathDecomposition& decomp,
+                                    std::size_t p) {
+  const PathScenario sc = BuildPathScenario(q.ft->topo(), q.flows, decomp, p);
+  const reference::LotScenario ref = reference::BuildPathScenario(q.ft->topo(), q.flows, decomp, p);
+  ASSERT_TRUE(ValidatePathScenario(sc).ok()) << ValidatePathScenario(sc).ToString();
+  EXPECT_EQ(sc.num_links, ref.num_links);
+  EXPECT_EQ(sc.is_fg, ref.is_fg);
+  EXPECT_EQ(sc.orig_id, ref.orig_id);
+  EXPECT_EQ(sc.entry_hop, ref.entry_hop);
+  EXPECT_EQ(sc.exit_hop, ref.exit_hop);
+  ExpectSameNetwork(BuildPathNetwork(sc), ref);
+
+  const std::vector<FlowResult> fluid = RunPathFlowSim(sc);
+  const std::vector<FlowResult> ref_fluid = reference::RunFlowSim(ref.lot->topo(), ref.flows);
+  ExpectSameResults(fluid, ref_fluid);
+
+  const ScenarioFeatures feats = ExtractFeatures(sc, fluid);
+  const ScenarioFeatures ref_feats = reference::ExtractFeatures(ref, ref_fluid);
+  ExpectSameTensor(feats.fg_feat, ref_feats.fg_feat, "fg_feat");
+  ExpectSameTensor(feats.bg_seq, ref_feats.bg_seq, "bg_seq");
+  ExpectSameTensor(TargetToTensor(feats.flowsim_fg), TargetToTensor(ref_feats.flowsim_fg),
+                   "flowsim_fg");
+  NetConfig cfg;
+  for (CcType cc : {CcType::kDctcp, CcType::kHpcc}) {
+    cfg.cc = cc;
+    ExpectSameTensor(EncodeSpec(cfg, ComputePathSpec(sc, cfg)),
+                     EncodeSpec(cfg, reference::ComputePathSpec(ref, cfg)), "spec");
+  }
+}
+
+TEST(ScenarioOracle, RandomFatTreeScenariosMatchLotReferenceBitwise) {
+  const char* matrices[] = {"A", "B", "C"};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    OracleQuery q = MakeOracleQuery(FatTreeConfig::Small(seed % 2 == 0 ? 1.0 : 2.0),
+                                    matrices[seed % 3],
+                                    100 + static_cast<int>(rng.NextBounded(900)), seed);
+    RelabelIds(q.flows, static_cast<int>(seed % 4), rng);
+    const PathDecomposition decomp(q.ft->topo(), q.flows);
+    for (std::size_t p = 0; p < decomp.num_paths(); p += 1 + decomp.num_paths() / 6) {
+      ExpectScenarioMatchesReference(q, decomp, p);
+      if (HasFailure()) {
+        ADD_FAILURE() << "seed " << seed << " path " << p;
+        return;
+      }
+    }
+  }
+}
+
+TEST(ScenarioOracle, FleetShapeSampledPathsMatchLotReferenceBitwise) {
+  const OracleQuery q = FleetShapeOracleQuery();
+  const PathDecomposition decomp(q.ft->topo(), q.flows);
+  Rng rng(1);
+  for (std::size_t p : SamplePaths(decomp, 24, rng)) {
+    ExpectScenarioMatchesReference(q, decomp, p);
+    if (HasFailure()) {
+      ADD_FAILURE() << "path " << p;
+      return;
+    }
+  }
+}
+
+TEST(ScenarioOracle, PacketSimMatchesLotReference) {
+  const OracleQuery q = MakeOracleQuery(FatTreeConfig::Small(2.0), "B", 300, 21);
+  const PathDecomposition decomp(q.ft->topo(), q.flows);
+  NetConfig cfg;
+  int checked = 0;
+  for (std::size_t p = 0; p < decomp.num_paths() && checked < 3; ++p) {
+    const PathScenario sc = BuildPathScenario(q.ft->topo(), q.flows, decomp, p);
+    if (sc.access_rate.size() < 4) continue;  // want shared access links in play
+    const reference::LotScenario ref = reference::BuildPathScenario(q.ft->topo(), q.flows, decomp, p);
+    const std::vector<FlowResult> got = RunPathPktSim(sc, cfg);
+    const std::vector<FlowResult> want = RunPacketSim(ref.lot->topo(), ref.flows, cfg);
+    ExpectSameResults(got, want);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].retransmits, want[i].retransmits) << "flow " << i;
+      EXPECT_EQ(got[i].timeouts, want[i].timeouts) << "flow " << i;
+    }
+    ++checked;
+  }
+  EXPECT_EQ(checked, 3);
+}
+
+// The v2 key hashes the flat columns, v1 hashed the lot. Over scenarios cut
+// from one query and from variants of it, the two keys must group the
+// scenarios identically: equal content (shifted ids, reordered unrelated
+// flows) collides under both, and a one-field change splits both.
+TEST(ScenarioOracle, PathKeyV2PartitionsScenariosAsV1) {
+  const OracleQuery base = FleetShapeOracleQuery();
+  std::vector<std::vector<Flow>> variants;
+  variants.push_back(base.flows);
+  {
+    std::vector<Flow> shifted = base.flows;
+    for (Flow& f : shifted) f.id += 1000;
+    variants.push_back(std::move(shifted));
+  }
+  {
+    // Flows from even source hosts first: a path's foreground flows share
+    // one source, so they keep their order; background orders may change.
+    std::vector<Flow> permuted = base.flows;
+    std::stable_partition(permuted.begin(), permuted.end(),
+                          [](const Flow& f) { return f.src % 2 == 0; });
+    variants.push_back(std::move(permuted));
+  }
+  for (std::size_t k : {std::size_t{0}, std::size_t{1}, base.flows.size() / 2}) {
+    std::vector<Flow> sized = base.flows;
+    sized[k].size += 1;
+    variants.push_back(std::move(sized));
+    std::vector<Flow> later = base.flows;
+    later[k].arrival += 1;
+    variants.push_back(std::move(later));
+  }
+
+  const NetConfig cfg;
+  std::map<Hash128, Hash128> v1_to_v2;
+  std::map<Hash128, Hash128> v2_to_v1;
+  std::map<Hash128, std::size_t> first_variant;  // v1 key -> first variant it came from
+  int scenarios = 0, cross_collisions = 0;
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    const PathDecomposition decomp(base.ft->topo(), variants[v]);
+    for (std::size_t p = 0; p < decomp.num_paths(); p += 1 + decomp.num_paths() / 40) {
+      const PathScenario sc = BuildPathScenario(base.ft->topo(), variants[v], decomp, p);
+      const Hash128 v2 = serve::PathCacheKey(sc, cfg, true, Hash128{});
+      const Hash128 v1 = reference::PathKeyV1(
+          reference::BuildPathScenario(base.ft->topo(), variants[v], decomp, p));
+      const auto [a, new_v1] = v1_to_v2.emplace(v1, v2);
+      const auto [b, new_v2] = v2_to_v1.emplace(v2, v1);
+      ASSERT_EQ(a->second, v2) << "v1 collides where v2 splits: variant " << v << " path " << p;
+      ASSERT_EQ(b->second, v1) << "v2 collides where v1 splits: variant " << v << " path " << p;
+      const auto [first, fresh] = first_variant.emplace(v1, v);
+      if (!fresh && first->second != v) ++cross_collisions;
+      ++scenarios;
+    }
+  }
+  // Both outcomes occur: identical content across queries collides, and the
+  // one-field changes leave some groups with a single member.
+  EXPECT_GT(cross_collisions, 0);
+  EXPECT_GT(v1_to_v2.size(), static_cast<std::size_t>(scenarios) / variants.size());
+  EXPECT_LT(v1_to_v2.size(), static_cast<std::size_t>(scenarios));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "util/stats.h"
 #include "workload/generator.h"
 #include "workload/size_dist.h"
+#include "workload/traffic_matrix.h"
 
 namespace m3 {
 namespace {
@@ -107,6 +108,39 @@ TEST(Parsimon, SlowdownsNeverBelowOne) {
   ParsimonOptions opts;
   for (const auto& r : RunParsimon(pl.topo(), flows, opts)) {
     EXPECT_GE(r.slowdown, 1.0);
+  }
+}
+
+// Flow ids are client labels, not positions: the same flows under
+// shifted, reversed or huge ids give the same per-flow results, each
+// carrying its own id.
+TEST(FlowId, ParsimonRelabeledIdsGiveSameResults) {
+  const FatTree ft(FatTreeConfig::Small(2.0));
+  const auto tm = TrafficMatrix::MatrixB(ft.num_racks(), ft.config().racks_per_pod);
+  WorkloadSpec spec;
+  spec.num_flows = 120;
+  spec.seed = 5;
+  const std::vector<Flow> flows = GenerateWorkload(ft, tm, *MakeWebServer(), spec).flows;
+  ParsimonOptions opts;
+  opts.num_threads = 1;
+  const auto base = RunParsimon(ft.topo(), flows, opts);
+  ASSERT_EQ(base.size(), flows.size());
+
+  for (int mode = 0; mode < 3; ++mode) {
+    std::vector<Flow> relabeled = flows;
+    const auto n = static_cast<FlowId>(flows.size());
+    for (std::size_t i = 0; i < relabeled.size(); ++i) {
+      const auto pos = static_cast<FlowId>(i);
+      relabeled[i].id = mode == 0 ? pos + 1 : mode == 1 ? n - 1 - pos : 100000000 + 3 * pos;
+    }
+    const auto got = RunParsimon(ft.topo(), relabeled, opts);
+    ASSERT_EQ(got.size(), base.size()) << "mode " << mode;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, relabeled[i].id) << "mode " << mode << " flow " << i;
+      EXPECT_EQ(got[i].fct, base[i].fct) << "mode " << mode << " flow " << i;
+      EXPECT_EQ(got[i].ideal_fct, base[i].ideal_fct) << "mode " << mode << " flow " << i;
+      EXPECT_EQ(got[i].slowdown, base[i].slowdown) << "mode " << mode << " flow " << i;
+    }
   }
 }
 

@@ -7,6 +7,7 @@
 #include "core/estimator.h"
 #include "core/net_config.h"
 #include "pathdecomp/decompose.h"
+#include "pathdecomp/path_network.h"
 #include "pathdecomp/path_topology.h"
 #include "pathdecomp/sampling.h"
 #include "topo/fat_tree.h"
@@ -166,7 +167,13 @@ TEST(PathTopology, ScenarioPreservesSizesAndArrivals) {
     const Flow& orig = wl.flows[static_cast<std::size_t>(sc.orig_id[i])];
     EXPECT_EQ(sc.flows[i].size, orig.size);
     EXPECT_EQ(sc.flows[i].arrival, orig.arrival);
-    EXPECT_TRUE(sc.lot->topo().ValidateRoute(sc.flows[i].src, sc.flows[i].dst, sc.flows[i].path));
+  }
+  // Every flow's route is valid in the packet-level network built from the
+  // columns.
+  const PathNetwork net = BuildPathNetwork(sc);
+  ASSERT_EQ(net.flows.size(), sc.flows.size());
+  for (const Flow& f : net.flows) {
+    EXPECT_TRUE(net.lot.topo().ValidateRoute(f.src, f.dst, f.path));
   }
 }
 
@@ -178,15 +185,26 @@ TEST(PathTopology, ChainLinksMatchOriginalRates) {
   const std::size_t idx = SamplePaths(decomp, 1, rng)[0];
   const PathScenario sc = BuildPathScenario(topo, wl.flows, decomp, idx);
   const PathInfo& info = decomp.path(idx);
+  const PathNetwork net = BuildPathNetwork(sc);
   for (int i = 0; i < sc.num_links; ++i) {
-    const Link& lot_link = sc.lot->topo().link(sc.lot->path_link(i));
     const Link& orig_link = topo.link(info.links[static_cast<std::size_t>(i)]);
+    EXPECT_DOUBLE_EQ(sc.hop_rate[static_cast<std::size_t>(i)], orig_link.rate);
+    EXPECT_EQ(sc.hop_delay[static_cast<std::size_t>(i)], orig_link.delay);
+    const Link& lot_link = net.lot.topo().link(net.lot.path_link(i));
     EXPECT_DOUBLE_EQ(lot_link.rate, orig_link.rate);
     EXPECT_EQ(lot_link.delay, orig_link.delay);
   }
   // Endpoints of the chain are hosts; interior nodes are switches.
-  EXPECT_EQ(sc.lot->topo().kind(sc.lot->switch_at(0)), NodeKind::kHost);
-  EXPECT_EQ(sc.lot->topo().kind(sc.lot->switch_at(sc.num_links)), NodeKind::kHost);
+  EXPECT_EQ(net.lot.topo().kind(net.lot.switch_at(0)), NodeKind::kHost);
+  EXPECT_EQ(net.lot.topo().kind(net.lot.switch_at(sc.num_links)), NodeKind::kHost);
+  for (int i = 1; i < sc.num_links; ++i) {
+    EXPECT_EQ(net.lot.topo().kind(net.lot.switch_at(i)), NodeKind::kSwitch);
+  }
+  // Access links attach at interior chain nodes only.
+  for (int hop : sc.access_hop) {
+    EXPECT_GT(hop, 0);
+    EXPECT_LT(hop, sc.num_links);
+  }
 }
 
 TEST(PathTopology, ForegroundFlowsSpanWholeChain) {
@@ -195,11 +213,17 @@ TEST(PathTopology, ForegroundFlowsSpanWholeChain) {
   Rng rng(7);
   const std::size_t idx = SamplePaths(decomp, 1, rng)[0];
   const PathScenario sc = BuildPathScenario(SmallTree().topo(), wl.flows, decomp, idx);
+  const PathNetwork net = BuildPathNetwork(sc);
   for (std::size_t i = 0; i < sc.flows.size(); ++i) {
     if (!sc.is_fg[i]) continue;
-    ASSERT_EQ(static_cast<int>(sc.flows[i].path.size()), sc.num_links);
+    EXPECT_EQ(sc.entry_hop[i], 0);
+    EXPECT_EQ(sc.exit_hop[i], sc.num_links);
+    EXPECT_EQ(sc.flows[i].src_access, -1);
+    EXPECT_EQ(sc.flows[i].dst_access, -1);
+    const Route& path = net.flows[i].path;
+    ASSERT_EQ(static_cast<int>(path.size()), sc.num_links);
     for (int h = 0; h < sc.num_links; ++h) {
-      EXPECT_EQ(sc.flows[i].path[static_cast<std::size_t>(h)], sc.lot->path_link(h));
+      EXPECT_EQ(path[static_cast<std::size_t>(h)], net.lot.path_link(h));
     }
   }
 }

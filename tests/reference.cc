@@ -232,4 +232,138 @@ std::size_t WeightedIndex(const std::vector<double>& weights, Rng& rng) {
   return 0;
 }
 
+LotScenario BuildPathScenario(const Topology& topo, const std::vector<Flow>& flows,
+                              const PathDecomposition& decomp, std::size_t path_idx) {
+  const PathInfo& info = decomp.path(path_idx);
+  const int n = static_cast<int>(info.links.size());
+
+  std::vector<Bpns> rates;
+  std::vector<Ns> delays;
+  for (LinkId l : info.links) {
+    rates.push_back(topo.link(l).rate);
+    delays.push_back(topo.link(l).delay);
+  }
+
+  LotScenario sc;
+  sc.num_links = n;
+  sc.lot = std::make_unique<ParkingLot>(rates, delays, /*hosts_at_ends=*/true);
+  ParkingLot& lot = *sc.lot;
+  const NodeId head = lot.switch_at(0);
+  const NodeId tail = lot.switch_at(n);
+
+  const Route fg_route = lot.RouteBetween(head, 0, tail, n);
+  for (FlowId pos : info.fg_flows) {
+    const Flow& orig = flows[static_cast<std::size_t>(pos)];
+    Flow f;
+    f.id = static_cast<FlowId>(sc.flows.size());
+    f.src = head;
+    f.dst = tail;
+    f.size = orig.size;
+    f.arrival = orig.arrival;
+    f.path = fg_route;
+    sc.flows.push_back(std::move(f));
+    sc.is_fg.push_back(1);
+    sc.orig_id.push_back(orig.id);
+    sc.entry_hop.push_back(0);
+    sc.exit_hop.push_back(n);
+  }
+
+  for (const BgFlowOnPath& bg : decomp.BackgroundFlows(path_idx)) {
+    const Flow& orig = flows[static_cast<std::size_t>(bg.flow)];
+    const Bpns src_rate = topo.link(orig.path.front()).rate;
+    const Bpns dst_rate = topo.link(orig.path.back()).rate;
+    const NodeId src =
+        bg.entry_hop == 0
+            ? head
+            : lot.AttachHost(bg.entry_hop, src_rate, static_cast<std::uint64_t>(orig.src));
+    const NodeId dst =
+        bg.exit_hop == n
+            ? tail
+            : lot.AttachHost(bg.exit_hop, dst_rate, static_cast<std::uint64_t>(orig.dst));
+    Flow f;
+    f.id = static_cast<FlowId>(sc.flows.size());
+    f.src = src;
+    f.dst = dst;
+    f.size = orig.size;
+    f.arrival = orig.arrival;
+    f.path = lot.RouteBetween(src, bg.entry_hop, dst, bg.exit_hop);
+    sc.flows.push_back(std::move(f));
+    sc.is_fg.push_back(0);
+    sc.orig_id.push_back(orig.id);
+    sc.entry_hop.push_back(bg.entry_hop);
+    sc.exit_hop.push_back(bg.exit_hop);
+  }
+  return sc;
+}
+
+PathSpecInfo ComputePathSpec(const LotScenario& scenario, const NetConfig& cfg) {
+  PathSpecInfo info;
+  info.num_links = scenario.num_links;
+  const Topology& topo = scenario.lot->topo();
+  Route fg_route;
+  for (int i = 0; i < scenario.num_links; ++i) fg_route.push_back(scenario.lot->path_link(i));
+  Ns rtt = 0;
+  for (LinkId l : fg_route) {
+    const Link& lk = topo.link(l);
+    rtt += lk.delay + TransmissionTime(cfg.mtu + cfg.hdr, lk.rate);
+    const Link& rlk = topo.link(topo.ReverseLink(l));
+    rtt += rlk.delay + TransmissionTime(cfg.hdr, rlk.rate);
+  }
+  info.base_rtt = rtt;
+  info.min_rate = topo.RouteMinRate(fg_route);
+  info.bdp = static_cast<Bytes>(topo.link(fg_route.front()).rate * static_cast<double>(rtt));
+  std::size_t num_fg = 0;
+  for (char c : scenario.is_fg) num_fg += (c != 0);
+  info.num_fg = static_cast<double>(num_fg);
+  return info;
+}
+
+ScenarioFeatures ExtractFeatures(const LotScenario& scenario,
+                                 const std::vector<FlowResult>& flowsim_results) {
+  const int n = scenario.num_links;
+  std::vector<SizedSlowdown> fg;
+  std::vector<std::vector<SizedSlowdown>> bg_per_link(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < scenario.flows.size(); ++i) {
+    const SizedSlowdown s{flowsim_results[i].size, flowsim_results[i].slowdown};
+    if (scenario.is_fg[i]) {
+      fg.push_back(s);
+    } else {
+      for (int h = scenario.entry_hop[i]; h < scenario.exit_hop[i]; ++h) {
+        bg_per_link[static_cast<std::size_t>(h)].push_back(s);
+      }
+    }
+  }
+  ScenarioFeatures out;
+  out.fg_feat = FlattenFeature(BuildFeatureMap(fg));
+  out.flowsim_fg = BuildTarget(fg);
+  out.bg_seq = ml::Tensor(n, kFeatureDim);
+  for (int h = 0; h < n; ++h) {
+    const ml::Tensor row = FlattenFeature(BuildFeatureMap(bg_per_link[static_cast<std::size_t>(h)]));
+    for (int j = 0; j < kFeatureDim; ++j) out.bg_seq.at(h, j) = row.at(0, j);
+  }
+  return out;
+}
+
+Hash128 PathKeyV1(const LotScenario& scenario) {
+  Hasher h;
+  h.Str("m3d/path-key/v1");
+  h.I32(scenario.num_links);
+  const Topology& topo = scenario.lot->topo();
+  h.U64(topo.num_links());
+  for (std::size_t l = 0; l < topo.num_links(); ++l) {
+    const Link& link = topo.link(static_cast<LinkId>(l));
+    h.I32(link.src).I32(link.dst).F64(link.rate).I64(link.delay);
+  }
+  h.U64(scenario.flows.size());
+  for (std::size_t i = 0; i < scenario.flows.size(); ++i) {
+    const Flow& f = scenario.flows[i];
+    h.I32(f.src).I32(f.dst).I64(f.size).I64(f.arrival).U8(f.priority);
+    h.Bool(scenario.is_fg[i] != 0);
+    h.I32(scenario.entry_hop[i]).I32(scenario.exit_hop[i]);
+    h.U64(f.path.size());
+    for (LinkId l : f.path) h.I32(l);
+  }
+  return h.Finish();
+}
+
 }  // namespace m3::reference

@@ -624,7 +624,9 @@ TEST(CacheKey, KeysMatchPinnedHashes) {
   }
   const PathDecomposition decomp(ft.topo(), flows);
   const PathScenario sc = BuildPathScenario(ft.topo(), flows, decomp, 0);
-  EXPECT_EQ(PathCacheKey(sc, SampleRequest().cfg, true, digest).ToHex(), "88e136c78a85b3162311a024f80bf66d");
+  // m3d/path-key/v2 (flat scenario columns); ScenarioOracle checks that it
+  // groups scenarios exactly as v1 did.
+  EXPECT_EQ(PathCacheKey(sc, SampleRequest().cfg, true, digest).ToHex(), "fd7ed6a0de6557400e373faf4ea818a6");
 }
 
 // --------------------------------------------------------------------- LRU --

@@ -44,7 +44,7 @@ ctest --test-dir build --output-on-failure -j"$JOBS"
 # suites) ride along in this tier and the UBSan one: their index
 # arithmetic over CSR offsets, link slots and hop masks is where an
 # out-of-bounds read would hide.
-COLD_PATH='FlowSim|PriorityFlowSim|Decompose|Sampling|PathTopology|FlowSimOracle|DecomposeOracle|SamplingOracle|GoldenAnswers|FlowId'
+COLD_PATH='FlowSim|PriorityFlowSim|Decompose|Sampling|PathTopology|FlowSimOracle|DecomposeOracle|SamplingOracle|ScenarioOracle|GoldenAnswers|FlowId'
 
 echo "== ASan: checkpoint/trainer/wire-decoder robustness + cold-path suites =="
 cmake -B build-asan -S . -DM3_SANITIZE=address "$@"
